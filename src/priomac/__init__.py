@@ -6,7 +6,6 @@ with an emergency indication slot and fuzzy slot priorities, under the
 same radio, traffic, and energy model.
 """
 
-from .core import BACKEND
-
+BACKEND = "pure"  # the one kernel implementation, recorded in run headers
 __version__ = "0.1.0"
 __all__ = ["BACKEND", "__version__"]

@@ -1,8 +1,7 @@
-"""Pure-Python kernels: event queue, broadcast channel, fuzzy centroid.
+"""Hot kernels: event queue, broadcast channel, fuzzy centroid.
 
-This is the fallback backend; ``_kernels.pyx`` compiles the same three
-primitives with identical semantics. Both must produce bit-identical
-results so a run replays the same way whichever backend is loaded.
+The three primitives the simulator calls most often. They know nothing
+of MACs or packets; ``engine`` and ``fuzzy`` build on them.
 """
 
 from heapq import heappop, heappush
@@ -43,15 +42,6 @@ class EventQueue:
                 del self._entries[entry[2]]
                 return (entry[0], entry[1], entry[3], entry[4])
         return None
-
-    def next_time(self):
-        heap = self._heap
-        while heap and heap[0][3] is None:
-            heappop(heap)
-        return heap[0][0] if heap else -1
-
-    def __len__(self):
-        return len(self._entries)
 
 
 class Channel:
@@ -105,9 +95,6 @@ class Channel:
             if entry[2] > t:
                 t = entry[2]
         return t
-
-    def active_count(self):
-        return len(self._active)
 
 
 def _tri(x, a, b, c):

@@ -6,8 +6,8 @@ import argparse
 import dataclasses
 import sys
 
+from . import BACKEND
 from .config import _CONVERTERS, SimConfig, parse_config
-from .core import BACKEND
 from .harness import EXPERIMENTS, emit_trace, run_once, run_sweep
 from .metrics import STATE_NAMES
 from .traffic import CLASSES

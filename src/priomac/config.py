@@ -73,8 +73,10 @@ class SimConfig:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; pick one of {PROTOCOLS}")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        # The model runs in whole microseconds: a span that rounds to 0 us
+        # would run nothing (duration) or draw from an empty range (intervals).
+        if self.duration_us < 1:
+            raise ValueError("duration_s must be at least 1 us")
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be at least 1")
         if not 0 <= self.n_emergency <= self.n_nodes:
@@ -85,13 +87,15 @@ class SimConfig:
             raise ValueError("bitrate_bps must be positive")
         if self.cca_us < 1:
             raise ValueError("cca_us must be positive")
-        if self.normal_interval_s <= 0 or self.emergency_interval_s <= 0:
-            raise ValueError("traffic intervals must be positive")
+        if self.normal_interval_us < 1 or self.emergency_interval_us < 1:
+            raise ValueError("traffic intervals must be at least 1 us")
         if self.fragment_size is not None:
             if self.protocol == "fps":
                 raise ValueError("fragment_size only applies to the frog protocol")
             if not 1 <= self.fragment_size <= self.payload_bytes:
                 raise ValueError("fragment_size must lie in [1, payload_bytes]")
+        if self.slots_per_frame < 1:
+            raise ValueError("slots_per_frame must be at least 1")
         if not 0.0 < self.eis_persistence <= 1.0:
             raise ValueError("eis_persistence must lie in (0, 1]")
         if not 0.0 <= self.ack_loss_p < 1.0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Channel, EventQueue
+from ._pykernels import Channel, EventQueue
 
 DEFAULT_BITRATE_BPS = 250_000  # 802.15.4-class radio
 DEFAULT_CCA_US = 128
@@ -132,7 +132,13 @@ class Engine:
     # -- main loop ------------------------------------------------------
 
     def run(self) -> None:
-        """Dispatch events in order until the queue drains or time runs out."""
+        """Dispatch events in order until the queue drains or time runs out.
+
+        A run is one-shot: afterwards the queue, whose leftover events stay
+        in flight, and the end listeners are dropped. Both hold the MACs'
+        bound methods and the MACs hold this engine, so keeping them would
+        leave every finished run to the cyclic GC.
+        """
         pop = self.queue.pop
         duration = self.duration_us
         while True:
@@ -145,3 +151,5 @@ class Engine:
             self.now = t
             item[2](item[3])
         self.now = duration
+        self.queue = EventQueue()
+        self._end_listeners = []

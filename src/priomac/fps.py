@@ -82,32 +82,6 @@ class FrameGeometry:
         return s, s + self.slot_len
 
 
-@dataclass
-class ClusterSchedule:
-    ch: int
-    surrogate: int
-    member_order: list[int]
-    slots_per_frame: int
-
-
-def run_setup(member_ids, residual_energy_uj, slots_per_frame: int = 20) -> ClusterSchedule:
-    """Initial cluster organization: surrogate CH and id-ordered slot list.
-
-    The surrogate is the member with maximum residual energy; ties go to
-    the lowest id. Data slots start out assigned in ascending id order.
-    """
-    members = sorted(member_ids)
-    if not members:
-        raise ValueError("cluster needs at least one member")
-    best = members[0]
-    for m in members[1:]:
-        if residual_energy_uj[m] > residual_energy_uj[best]:
-            best = m
-    return ClusterSchedule(
-        ch=SINK, surrogate=best, member_order=members, slots_per_frame=slots_per_frame
-    )
-
-
 @dataclass(slots=True)
 class FuzzyInputs:
     distance_m: float
@@ -239,11 +213,6 @@ class FpsMac:
         self._dist = {
             nc.node_id: math.hypot(nc.x - cx, nc.y - cy) for nc in nodes
         }
-        self.cluster = run_setup(
-            self.member_ids,
-            {m: initial_energy_uj for m in self.member_ids},
-            self.timing.slots_per_frame,
-        )
 
         n = max(self.member_ids) + 1
         self._emq = [deque() for _ in range(n)]

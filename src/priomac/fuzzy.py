@@ -1,12 +1,13 @@
 """Slot-priority scoring for the TDMA scheduler.
 
-The Mamdani core (``fuzzy_core``) lives in the kernel backend; this module
-adds the crisp emergency-bit composition on top. An emergency claimant can
-never score below a non-emergency one: the bit decides the half-interval
-and the fuzzy core only ranks within it.
+The Mamdani core (``fuzzy_core``) lives in ``_pykernels`` next to the
+event queue and the channel; this module adds the crisp emergency-bit
+composition on top. An emergency claimant can never score below a
+non-emergency one: the bit decides the half-interval and the fuzzy core
+only ranks within it.
 """
 
-from .core import fuzzy_core
+from ._pykernels import fuzzy_core
 
 __all__ = ["fuzzy_core", "priority_score"]
 

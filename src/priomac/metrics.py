@@ -1,20 +1,14 @@
-"""Delay samples, per-node radio-state energy ledgers, and run reports."""
+"""Delay bookkeeping, per-node radio-state energy ledgers, and run reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .traffic import CLASSES, EMERGENCY, NORMAL, Packet
 
-# Radio state indices. State names accepted by energy_update map onto these.
+# Radio state indices; STATE_NAMES labels them in reports.
 TX, RX, IDLE, SLEEP = 0, 1, 2, 3
 STATE_NAMES = ("tx", "rx", "idle", "sleep")
-_STATE_ALIASES = {
-    "tx": TX, "transmit": TX,
-    "rx": RX, "receive": RX, "listen": RX,
-    "idle": IDLE,
-    "sleep": SLEEP,
-}
 
 
 @dataclass
@@ -54,12 +48,6 @@ class EnergyLedger:
         spans[from_state] -= dt_us
         spans[to_state] += dt_us
 
-    def energy_update(self, node: int, state: str, dt_us: int) -> None:
-        idx = _STATE_ALIASES.get(state)
-        if idx is None:
-            raise ValueError(f"unknown radio state {state!r}")
-        self.add(node, idx, dt_us)
-
     def state_us(self, node: int) -> tuple[int, int, int, int]:
         return tuple(self._us[node])
 
@@ -75,19 +63,6 @@ class EnergyLedger:
 
     def node_ids(self):
         return sorted(self._us)
-
-
-@dataclass(slots=True)
-class DelaySample:
-    pid: int
-    src: int
-    klass: str
-    gen_time: int
-    delivery_time: int
-
-    @property
-    def delay_us(self) -> int:
-        return self.delivery_time - self.gen_time
 
 
 @dataclass
@@ -136,14 +111,13 @@ class MetricsCollector:
     def is_terminal(self, pid: int) -> bool:
         return pid in self._terminal
 
-    def record_delivery(self, packet: Packet, delivery_time: int) -> DelaySample:
+    def record_delivery(self, packet: Packet, delivery_time: int) -> None:
         if packet.pid in self._terminal:
             raise ValueError(f"packet {packet.pid} already delivered or dropped")
         if delivery_time <= packet.gen_time:
             raise ValueError("delivery must postdate generation")
         self._terminal.add(packet.pid)
         self._delays[packet.klass].append(delivery_time - packet.gen_time)
-        return DelaySample(packet.pid, packet.src, packet.klass, packet.gen_time, delivery_time)
 
     def record_drop(self, packet: Packet) -> None:
         if packet.pid in self._terminal:

@@ -4,22 +4,27 @@ Each test covers one numbered criterion and prints a single PASS/FAIL
 verdict line (visible with -s, or in the captured output on failure).
 The two sweep fixtures run the real experiment grids at default scale,
 so this module dominates the suite's runtime by design.
+
+Only criterion 1 times a sweep, so only its fig5 sweep runs serially. The
+fig4 sweep and criterion 2's cohort runs use up to ``JOBS`` processes: a
+run's outputs do not depend on the process it runs in (criterion 9).
 """
 
 import csv
 import dataclasses
+import os
 import random
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from _mamdani_ref import reference_core
 from priomac.config import SimConfig
-from priomac.core import fuzzy_core
 from priomac.engine import SINK, Engine, tx_duration_us
 from priomac.frog import FrogMac, FrogTiming, SinkReassembler, fragment
-from priomac.fuzzy import priority_score
+from priomac.fuzzy import fuzzy_core, priority_score
 from priomac.harness import (
     EMERGENCY_COUNTS,
     FRAGMENT_SIZES,
@@ -32,6 +37,7 @@ from priomac.metrics import EnergyLedger, MetricsCollector, PowerModel
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet, build_population
 
 SEEDS = range(1, 11)
+JOBS = min(2, os.cpu_count() or 1)
 
 
 def verdict(num, name, ok, detail=""):
@@ -96,7 +102,7 @@ def fig5(tmp_path_factory):
 @pytest.fixture(scope="module")
 def fig4(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig4")
-    csv_path, dat_path = run_sweep("fig4", SimConfig(), str(out), seeds=SEEDS, jobs=1)
+    csv_path, dat_path = run_sweep("fig4", SimConfig(), str(out), seeds=SEEDS, jobs=JOBS)
     return {"rows": load_csv(csv_path), "agg": load_dat(dat_path)}
 
 
@@ -144,10 +150,9 @@ class EmergencyDelaysBySource(MetricsCollector):
         self.by_src = {}
 
     def record_delivery(self, packet, delivery_time):
-        sample = super().record_delivery(packet, delivery_time)
+        super().record_delivery(packet, delivery_time)
         if packet.klass == EMERGENCY:
             self.by_src.setdefault(packet.src, []).append(delivery_time - packet.gen_time)
-        return sample
 
 
 def population(cfg, n_emergency):
@@ -177,7 +182,7 @@ def emergency_delays_by_source(cfg):
     return {nc.node_id for nc in nodes if nc.emergency}, metrics.by_src
 
 
-def cohort_curve(rows, protocol, fragment_size):
+def cohort_curve(rows, protocol, fragment_size, pool):
     """Mean emergency delay of a fixed detector cohort at each n_emergency.
 
     The cohort of a seed is its detector set at the smallest n_emergency;
@@ -193,23 +198,25 @@ def cohort_curve(rows, protocol, fragment_size):
             dataclasses.replace(base, seed=seed), EMERGENCY_COUNTS[0]) if nc.emergency}
         for seed in SEEDS
     }
-    curve = []
-    for ne in EMERGENCY_COUNTS:
-        per_seed = []
-        for seed in SEEDS:
-            cfg = dataclasses.replace(
-                base, protocol=protocol, fragment_size=fragment_size,
-                n_emergency=ne, seed=seed,
-            )
-            detectors, by_src = emergency_delays_by_source(cfg)
-            assert cohorts[seed] <= detectors, (protocol, ne, seed)
-            everyone = [d for delays in by_src.values() for d in delays]
-            run_mean = sum(everyone) / len(everyone)
-            assert float(f"{run_mean:.3f}") == csv_em[(protocol, ne, seed)], (protocol, ne, seed)
-            cohort = [d for src in cohorts[seed] for d in by_src.get(src, [])]
-            per_seed.append(sum(cohort) / len(cohort))
-        curve.append(statistics.mean(per_seed))
-    return curve
+    points = [(ne, seed) for ne in EMERGENCY_COUNTS for seed in SEEDS]
+    configs = [
+        dataclasses.replace(
+            base, protocol=protocol, fragment_size=fragment_size,
+            n_emergency=ne, seed=seed,
+        )
+        for ne, seed in points
+    ]
+    per_point = {ne: [] for ne in EMERGENCY_COUNTS}
+    for (ne, seed), (detectors, by_src) in zip(
+        points, pool.map(emergency_delays_by_source, configs, chunksize=1)
+    ):
+        assert cohorts[seed] <= detectors, (protocol, ne, seed)
+        everyone = [d for delays in by_src.values() for d in delays]
+        run_mean = sum(everyone) / len(everyone)
+        assert float(f"{run_mean:.3f}") == csv_em[(protocol, ne, seed)], (protocol, ne, seed)
+        cohort = [d for src in cohorts[seed] for d in by_src.get(src, [])]
+        per_point[ne].append(sum(cohort) / len(cohort))
+    return [statistics.mean(per_point[ne]) for ne in EMERGENCY_COUNTS]
 
 
 def test_criterion_2_load_trend(fig5):
@@ -217,7 +224,8 @@ def test_criterion_2_load_trend(fig5):
     ok = True
     for proto in ("frog", "fps"):
         fs = 8 if proto == "frog" else None
-        curve = cohort_curve(fig5["rows"], proto, fs)
+        with ProcessPoolExecutor(max_workers=JOBS) as pool:
+            curve = cohort_curve(fig5["rows"], proto, fs, pool)
         inv = inversions(curve)
         proto_ok = len(inv) <= 1 and all(rel <= 0.05 for _, _, _, rel in inv)
         ok = ok and proto_ok

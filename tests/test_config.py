@@ -58,6 +58,12 @@ def test_validate_rejects_bad_ranges():
         {"ack_loss_p": 1.0},
         {"fragment_size": 0},
         {"fragment_size": 35},
+        # the µs model: nothing may round to 0 us, and a frame needs a slot
+        {"protocol": "fps", "slots_per_frame": 0},
+        {"protocol": "fps", "slots_per_frame": -1},
+        {"duration_s": 1e-9},
+        {"normal_interval_s": 1e-7},
+        {"emergency_interval_s": 4e-7},
     ):
         with pytest.raises(ValueError):
             SimConfig(**kwargs).validate()

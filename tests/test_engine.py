@@ -1,7 +1,10 @@
 """Event queue ordering, airtime arithmetic, and collision-channel semantics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from priomac._pykernels import Channel, EventQueue
 from priomac.engine import Engine, ProtocolBug, substream, tx_duration_us
 
 
@@ -187,3 +190,107 @@ def test_trace_records_transmission_lifecycle():
     eng.run()
     assert (100, 1, "tx-start", "kind=ack to=7") in rec
     assert (452, 1, "tx-end", "kind=ack to=7 corrupted=0") in rec
+
+
+# -- kernels against brute-force models -----------------------------------
+
+KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 50), st.integers(0, 4)),
+        st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+        st.tuples(st.just("pop")),
+    ),
+    max_size=120,
+)
+
+
+@KERNEL_SETTINGS
+@given(queue_ops)
+def test_event_queue_matches_a_sorted_list_model(ops):
+    queue = EventQueue()
+    live = {}  # handle -> (time, owner, handle): the events not yet popped or cancelled
+    handles = []
+
+    def fired(_arg):
+        pass
+
+    def check_pop():
+        got = queue.pop()
+        if not live:
+            assert got is None
+            return
+        want = min(live.values())
+        del live[want[2]]
+        assert got == (want[0], want[1], fired, want[2])
+
+    for op in ops:
+        if op[0] == "push":
+            handle = queue.push(op[1], op[2], fired, len(handles))
+            assert handle == len(handles)  # handles are insertion sequence numbers
+            handles.append(handle)
+            live[handle] = (op[1], op[2], handle)
+        elif op[0] == "cancel" and handles:
+            handle = handles[op[1] % len(handles)]  # may be popped or cancelled already
+            queue.cancel(handle)
+            live.pop(handle, None)
+        else:
+            check_pop()
+    while live:
+        check_pop()
+    assert queue.pop() is None
+
+
+# Short spans on a coarse clock, so that starts, ends and sensing windows
+# often meet exactly: the half-open boundaries are where kernels go wrong.
+channel_ops = st.lists(
+    st.tuples(
+        st.integers(0, 8),                            # clock advance, us
+        st.sampled_from(("begin", "finish", "sense")),
+        st.integers(1, 12),                           # airtime or sensing window, us
+        st.integers(0, 10_000),                       # finishing order; window choice
+    ),
+    max_size=120,
+)
+
+
+@KERNEL_SETTINGS
+@given(channel_ops)
+def test_channel_matches_a_brute_force_interval_model(ops):
+    channel = Channel()
+    spans = []   # [start, end) of every transmission begun, by handle
+    open_ = {}   # handle -> end, for transmissions not yet finished
+    now = 0
+
+    def corrupted(h):
+        s, e = spans[h]
+        return any(s < e2 and s2 < e for i, (s2, e2) in enumerate(spans) if i != h)
+
+    def finish(h):
+        # The engine finishes a transmission at its end; later must not matter.
+        assert open_.pop(h) <= now
+        assert channel.finish(h) == corrupted(h)
+
+    for advance, action, length, pick in ops:
+        now += advance
+        due = sorted(h for h, end in open_.items() if end <= now)  # may finish now
+        if action == "begin":
+            h = channel.begin(0, now, now + length)
+            assert h == len(spans)
+            spans.append((now, now + length))
+            open_[h] = now + length
+        elif action == "finish" and due:
+            k = pick % len(due)  # finish them all, starting from the k-th
+            for h in due[k:] + due[:k]:
+                finish(h)
+        else:
+            # Half the windows open where the last transmission ended.
+            ended = [e for _, e in spans if e <= now]
+            t0 = max(ended) if ended and pick % 2 else max(0, now - length)
+            assert channel.busy_at(now) == any(s <= now < e for s, e in spans)
+            assert channel.busy_in(t0, now) == any(s < now and e > t0 for s, e in spans)
+            assert channel.busy_until(now) == max([now] + [e for _, e in spans])
+    now = max([now] + list(open_.values()))
+    for h in sorted(open_):
+        finish(h)

@@ -12,31 +12,10 @@ from priomac.fps import (
     MODE_PERIODIC,
     SlotRequest,
     build_frame,
-    run_setup,
 )
 from priomac.fuzzy import priority_score
 from priomac.metrics import EnergyLedger, MetricsCollector, PowerModel
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig
-
-
-# -- setup phase ------------------------------------------------------------
-
-def test_setup_elects_highest_energy_surrogate():
-    sched = run_setup([3, 1, 2], {1: 5e6, 2: 9e6, 3: 7e6})
-    assert sched.ch == SINK
-    assert sched.surrogate == 2
-    assert sched.member_order == [1, 2, 3]
-    assert sched.slots_per_frame == 20
-
-
-def test_setup_breaks_energy_ties_by_lowest_id():
-    sched = run_setup([1, 2, 3], {1: 5e6, 2: 9e6, 3: 9e6})
-    assert sched.surrogate == 2
-
-
-def test_setup_needs_members():
-    with pytest.raises(ValueError):
-        run_setup([], {})
 
 
 # -- frame geometry ----------------------------------------------------------

@@ -5,9 +5,7 @@ import random
 import pytest
 
 from _mamdani_ref import reference_core
-from priomac import _pykernels
-from priomac.core import fuzzy_core
-from priomac.fuzzy import priority_score
+from priomac.fuzzy import fuzzy_core, priority_score
 
 
 def test_center_is_exactly_neutral():
@@ -31,7 +29,6 @@ def test_agrees_with_reference_on_random_inputs():
         d, e, s = rng.random(), rng.random(), rng.random()
         want = reference_core(d, e, s)
         assert abs(fuzzy_core(d, e, s) - want) <= 1e-9
-        assert abs(_pykernels.fuzzy_core(d, e, s) - want) <= 1e-9
 
 
 def test_agrees_with_reference_on_set_boundaries():

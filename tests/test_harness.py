@@ -1,11 +1,14 @@
 """End-to-end runs, sweep outputs, trace files, and the command line."""
 
 import csv
+import gc
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+from priomac import harness
 from priomac.cli import main
 from priomac.config import SimConfig, _CONVERTERS
 from priomac.harness import emit_trace, run_once, run_sweep, sweep_points
@@ -33,6 +36,25 @@ def test_generated_counts_match_the_arrival_arithmetic():
     want = sum((cfg.duration_us - n.normal_phase_us) // 10_000_000 + 1 for n in nodes)
     assert rep.classes[NORMAL].generated == want
     assert rep.classes[EMERGENCY].generated == 0
+
+
+@pytest.mark.parametrize("protocol", ["frog", "fps"])
+def test_a_finished_run_is_freed_without_the_cyclic_gc(monkeypatch, protocol):
+    engines = []
+
+    class RecordedEngine(harness.Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(harness, "Engine", RecordedEngine)
+    gc.disable()
+    try:
+        # Arrivals past the horizon stay queued and hold the MAC too.
+        harness.run_once(small(protocol, duration_s=5.0))
+        assert len(engines) == 1 and engines[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_no_detectors_means_no_emergency_traffic():
@@ -228,6 +250,9 @@ def test_cli_rejects_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["run", "--protocol", "fps", "--fragment-size", "8"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["run", "--protocol", "fps", "--slots-per-frame", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_module_entry_point():
