@@ -111,6 +111,28 @@ def _tri(x, a, b, c):
     return 1.0 if (x == c and b == c) else 0.0
 
 
+# Centroid memo: the centroid depends only on the three rule activations,
+# so it is keyed on them and computed once per distinct triple. Cleared
+# when full, which bounds its memory on long runs with drifting energy.
+_CENTROIDS = {}
+_CENTROID_CAP = 4096
+# (x, m_lo, m_mid, m_hi) at each of the 1001 centroid samples; built on the
+# first memo miss, so a process that never scores (frog only) never holds it.
+_SAMPLES = None
+
+
+def _samples():
+    global _SAMPLES
+    if _SAMPLES is None:
+        _SAMPLES = []
+        for i in range(1001):
+            x = i / 1000.0
+            _SAMPLES.append(
+                (x, _tri(x, 0.0, 0.0, 0.5), _tri(x, 0.25, 0.5, 0.75), _tri(x, 0.5, 1.0, 1.0))
+            )
+    return _SAMPLES
+
+
 def fuzzy_core(d, e, s):
     """Mamdani inference over normalized (distance, residual energy, slots).
 
@@ -120,6 +142,11 @@ def fuzzy_core(d, e, s):
            LOW if (e low and s low) or d high.
     Output sets low (0,0,0.5), mid (0.25,0.5,0.75), high (0.5,1,1);
     centroid defuzzification sampled at 1001 points on [0, 1].
+
+    The centroid is memoised on the (low, mid, high) rule activations, up
+    to 4096 triples before the memo is cleared. A miss runs the same
+    sample loop in the same order, so a memoised score is bitwise the
+    score the loop gives.
     """
     if not (0.0 <= d <= 1.0 and 0.0 <= e <= 1.0 and 0.0 <= s <= 1.0):
         raise ValueError("fuzzy inputs must lie in [0, 1]")
@@ -137,17 +164,18 @@ def fuzzy_core(d, e, s):
     act_mid = max(e_mid, s_mid)
     act_lo = max(min(e_lo, s_lo), d_hi)
 
+    key = (act_lo, act_mid, act_hi)
+    centroid = _CENTROIDS.get(key)
+    if centroid is not None:
+        return centroid
+
     num = 0.0
     den = 0.0
-    for i in range(1001):
-        x = i / 1000.0
-        m_lo = _tri(x, 0.0, 0.0, 0.5)
+    for x, m_lo, m_mid, m_hi in _samples():
         if m_lo > act_lo:
             m_lo = act_lo
-        m_mid = _tri(x, 0.25, 0.5, 0.75)
         if m_mid > act_mid:
             m_mid = act_mid
-        m_hi = _tri(x, 0.5, 1.0, 1.0)
         if m_hi > act_hi:
             m_hi = act_hi
         m = m_lo
@@ -157,6 +185,9 @@ def fuzzy_core(d, e, s):
             m = m_hi
         num += x * m
         den += m
-    if den == 0.0:
-        return 0.5  # no rule fired (isolated corner inputs): neutral score
-    return num / den
+    # no rule fired (isolated corner inputs): neutral score
+    centroid = num / den if den != 0.0 else 0.5
+    if len(_CENTROIDS) >= _CENTROID_CAP:
+        _CENTROIDS.clear()
+    _CENTROIDS[key] = centroid
+    return centroid

@@ -8,6 +8,7 @@ any overrides dict) win over file values, which win over defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 PROTOCOLS = ("frog", "fps")
@@ -73,8 +74,12 @@ class SimConfig:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; pick one of {PROTOCOLS}")
-        # The model runs in whole microseconds: a span that rounds to 0 us
-        # would run nothing (duration) or draw from an empty range (intervals).
+        # The model runs in whole microseconds: a span must convert to a
+        # finite count, and one that rounds to 0 us would run nothing
+        # (duration) or draw from an empty range (intervals).
+        for name in ("duration_s", "normal_interval_s", "emergency_interval_s"):
+            if not math.isfinite(getattr(self, name) * 1e6):
+                raise ValueError(f"{name} must be a finite number of seconds")
         if self.duration_us < 1:
             raise ValueError("duration_s must be at least 1 us")
         if self.n_nodes < 1:

@@ -11,10 +11,12 @@ over intra-cluster distance, residual energy, and slots required, with
 the emergency bit composed crisply on top.
 
 Members sleep outside the EIS, the control period, and their own slot;
-the cluster head (node 0, the sink) listens for the whole frame. Energy
-is accrued arithmetically per frame, which lets runs without queued
-traffic fast-forward across empty frames without touching RNG or channel
-state (the skip is observably identical to processing each frame).
+the cluster head (node 0, the sink) listens for the whole frame. The
+baseline energy of a frame is accrued arithmetically, not by events,
+which lets runs without queued traffic fast-forward across empty frames
+without touching RNG or channel state. A skip of k frames accrues their
+baseline in closed form, k times one frame's budget in integer
+microseconds, so it is observably identical to processing each frame.
 
 Every random draw belongs to one member and comes from that member's own
 substream: its EIS persistence coin, and the loss of an ack addressed to
@@ -276,20 +278,36 @@ class FpsMac:
             e = d
         return e - s if e > s else 0
 
-    def _accrue_baseline(self, f: int) -> None:
-        """Baseline radio budget for frame [f, f+frame_len), clipped to the run."""
+    def _accrue_baseline(self, f: int, k: int = 1) -> None:
+        """Baseline radio budget for the k frames from f, clipped to the run.
+
+        Every frame starts before the run's end. The frames that end by
+        then accrue in closed form, k at once; only a frame that the end
+        clips goes through _span. The ledger holds integer microseconds,
+        so this equals accruing each frame in turn.
+        """
         g = self.geom
+        whole = (self.eng.duration_us - f) // g.frame_len
+        if whole > k:
+            whole = k
+        awake = whole * g.data_offset
+        asleep = whole * (g.frame_len - g.data_offset)
+        # CH: listens all frame except while broadcasting the schedule.
+        sink_rx = whole * (g.frame_len - g.sched_air)
+        sink_tx = whole * g.sched_air
+        if whole < k:
+            c = f + whole * g.frame_len
+            awake += self._span(c, c + g.data_offset)
+            asleep += self._span(c + g.data_offset, c + g.frame_len)
+            ctrl = c + g.eis_len
+            sink_rx += self._span(c, ctrl) + self._span(ctrl + g.sched_air, c + g.frame_len)
+            sink_tx += self._span(ctrl, ctrl + g.sched_air)
         add = self.ledger.add
-        awake = self._span(f, f + g.data_offset)
-        asleep = self._span(f + g.data_offset, f + g.frame_len)
         for m in self.member_ids:
             add(m, RX, awake)
             add(m, SLEEP, asleep)
-        # CH: listens all frame except while broadcasting the schedule.
-        ctrl = f + g.eis_len
-        add(SINK, RX, self._span(f, ctrl))
-        add(SINK, TX, self._span(ctrl, ctrl + g.sched_air))
-        add(SINK, RX, self._span(ctrl + g.sched_air, f + g.frame_len))
+        add(SINK, RX, sink_rx)
+        add(SINK, TX, sink_tx)
 
     def _adjust(self, node: int, from_state: int, to_state: int, s: int, e: int) -> None:
         dt = self._span(s, e)
@@ -385,21 +403,12 @@ class FpsMac:
             t = self._next_em[m]
             if t >= 0 and t < ta:
                 ta = t
-        if ta is None or ta >= d:
-            while f < d:
-                self._accrue_baseline(f)
-                self._frame_idx += 1
-                f += g.frame_len
-            return
-        k = (ta - f + g.frame_len - 1) // g.frame_len
-        if k < 1:
-            k = 1
-        for j in range(k):
-            start = f + j * g.frame_len
-            if start >= d:
-                k = j
-                break
-            self._accrue_baseline(start)
+        # Frames from f that start before the run's end.
+        k = (d - f + g.frame_len - 1) // g.frame_len
+        if ta is not None and ta < d:
+            k_ta = (ta - f + g.frame_len - 1) // g.frame_len
+            k = min(k, max(k_ta, 1))
+        self._accrue_baseline(f, k)
         self._frame_idx += k
         nxt = f + k * g.frame_len
         if nxt < d:

@@ -27,6 +27,10 @@ from .traffic import (
     next_arrival,
 )
 
+# `_pending` of a sender whose clean frame the sink is acking. No timeout is
+# queued for it: a clean ack ends the wait, a corrupted one queues the timeout.
+ACK_DUE = -1
+
 
 @dataclass
 class FrogTiming:
@@ -48,6 +52,8 @@ class FrogTiming:
                 "emergency contention (ifs_high + max backoff = "
                 f"{worst_high} us) must finish inside the {self.fragment_gap_us} us gap"
             )
+        if self.ack_slack_us < 0:
+            raise ValueError(f"ack_slack_us must be non-negative, got {self.ack_slack_us}")
         if self.ifs_low_us <= self.fragment_gap_us:
             raise ValueError(
                 "low-priority IFS must outlast the inter-fragment gap, got "
@@ -332,9 +338,17 @@ class FrogMac:
         if kind == self.ACK:
             self._set_state(SINK, RX)
             self._intx[SINK] = False
+            target, final, packet, idx = tx.meta
             if not corrupted:
-                target, final, packet, idx = tx.meta
                 self._ack_received(target, final, packet, idx)
+            else:
+                # The target misses its ack; it times out ack_slack_us later.
+                self._pending[target] = self.eng.schedule(
+                    self.eng.now + self.timing.ack_slack_us,
+                    target,
+                    self._ack_timeout,
+                    (target, packet, idx),
+                )
             return
         if kind != self.DATA_FRAG and kind != self.DATA_WHOLE:
             return
@@ -343,15 +357,18 @@ class FrogMac:
         self._set_state(node, RX)
         self._intx[node] = False
         # The sender cannot see corruption; it waits for the ack either way.
-        self._pending[node] = self.eng.schedule(
-            tx.end + self.ack_air_us + self.timing.ack_slack_us,
-            node,
-            self._ack_timeout,
-            (node, packet, idx),
-        )
         self._pending_kind[node] = "ackwait"
         if corrupted:
+            # No ack will come: time out ack_slack_us after it would have ended.
+            self._pending[node] = self.eng.schedule(
+                tx.end + self.ack_air_us + self.timing.ack_slack_us,
+                node,
+                self._ack_timeout,
+                (node, packet, idx),
+            )
             return
+        # The sink acks at once, and the ack's end settles the wait.
+        self._pending[node] = ACK_DUE
         if kind == self.DATA_FRAG:
             self.reassembler.receive(frag)
             final = self.reassembler.is_complete(packet.pid) and not self.metrics.is_terminal(
@@ -369,10 +386,8 @@ class FrogMac:
         eng.begin_tx(SINK, self.timing.ack_bytes, self.ACK, (target, final, packet, idx), label)
 
     def _ack_received(self, node: int, final: bool, packet: Packet, idx: int) -> None:
-        if self._pending_kind[node] == "ackwait":
-            self.eng.cancel(self._pending[node])
-            self._pending[node] = None
-            self._pending_kind[node] = None
+        self._pending[node] = None
+        self._pending_kind[node] = None
         self._retry_key[node] = None
         self._retries[node] = 0
         now = self.eng.now

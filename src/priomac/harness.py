@@ -13,7 +13,6 @@ import dataclasses
 import math
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import SimConfig
 from .engine import SINK, Engine
@@ -200,6 +199,10 @@ def run_sweep(
                 )
             )
     if jobs > 1:
+        # Imported here: it pulls in multiprocessing, which every other
+        # process would pay for in start-up time and memory.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_row, configs, chunksize=1))
     else:

@@ -64,6 +64,13 @@ def test_validate_rejects_bad_ranges():
         {"duration_s": 1e-9},
         {"normal_interval_s": 1e-7},
         {"emergency_interval_s": 4e-7},
+        # ... and every span must be a finite number of microseconds
+        {"duration_s": float("inf")},
+        {"duration_s": float("-inf")},
+        {"duration_s": float("nan")},
+        {"duration_s": 1e308},  # finite seconds, but infinite microseconds
+        {"normal_interval_s": float("inf")},
+        {"emergency_interval_s": float("inf")},
     ):
         with pytest.raises(ValueError):
             SimConfig(**kwargs).validate()

@@ -253,6 +253,41 @@ def test_trace_does_not_change_the_outcome():
     assert rep_plain == rep_traced
 
 
+def run_untraced(nodes, duration_us, seed=1, **timing_kwargs):
+    eng, mac, metrics, ledger = make_fps(nodes, duration_us, seed=seed, **timing_kwargs)
+    mac.start()
+    eng.run()
+    mac.finish()
+    return metrics.summarize(ledger, duration_us)
+
+
+# Sparse traffic: 10 s intervals are about 180 frames, so an untraced run
+# fast-forwards across gaps of many frames between the few busy ones.
+SPARSE = [member(1, normal_phase=5000), member(2, emergency=True, em_phase=3_000_000),
+          member(3, normal_phase=2_400_000), member(4, emergency=True, em_phase=9_000_000,
+                                                    normal_phase=7_777_000)]
+RUN_FRAMES = 300  # 16.7 s: every member sends, and detector 4 sends both classes
+
+
+@pytest.mark.parametrize("duration", [
+    RUN_FRAMES * FRAME,
+    RUN_FRAMES * FRAME + 1,  # the last frame starts 1 us before the end
+    RUN_FRAMES * FRAME - 1,  # the end clips the last frame by 1 us
+    FRAME // 2,              # ends inside the first frame, in its data slots
+    GEOM.eis_len + 10,       # ends inside the first frame's control period
+], ids=["k-frames", "k-frames+1", "k-frames-1", "half-frame", "in-control"])
+@pytest.mark.parametrize("seed,ack_loss_p", [(1, 0.01), (2, 0.01), (7, 0.5)])
+def test_fast_forward_matches_frame_by_frame_accrual(duration, seed, ack_loss_p):
+    # A trace turns the fast-forward off, so the traced run accrues every
+    # frame on its own; the untraced one skips empty frames in closed form.
+    traced, rec, _ = run_fps(SPARSE, duration, seed=seed, ack_loss_p=ack_loss_p)
+    assert run_untraced(SPARSE, duration, seed=seed, ack_loss_p=ack_loss_p) == traced
+    if duration > FRAME:
+        busy = {d.split()[0] for _, _, k, d in rec if k == "frame" and "slots=[]" not in d}
+        frames = sum(1 for _, _, k, _ in rec if k == "frame")
+        assert 0 < len(busy) < frames // 10, "scenario has no long empty gaps"
+
+
 def test_data_slots_never_collide_under_load():
     nodes = [member(i, emergency=(i <= 6), em_phase=i * 7000,
                     normal_phase=i * 311_000) for i in range(1, 21)]

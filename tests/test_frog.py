@@ -98,6 +98,13 @@ def test_timing_rejects_short_low_priority_sensing():
         FrogTiming(ifs_low_us=800).validate()
 
 
+def test_timing_rejects_negative_ack_slack():
+    # A sender may not give up on an ack before the ack could have ended.
+    with pytest.raises(ValueError):
+        FrogTiming(ack_slack_us=-1).validate()
+    FrogTiming(ack_slack_us=0).validate()
+
+
 # -- MAC scenarios ---------------------------------------------------------
 
 def make_mac(nodes, duration_us, fragment_size=8, seed=1, trace=None):
@@ -191,14 +198,39 @@ def test_emergency_preempts_the_gap():
     assert rep.classes[EMERGENCY].mean_us <= 192 + 3 * 160 + 1248 + 352
 
 
-def test_retry_exhaustion_drops_the_packet():
-    # A jammer node outside the MAC corrupts every ack, so the sender
-    # burns all 8 retries and abandons the packet on the 9th attempt.
+def test_a_clean_exchange_cancels_no_event(monkeypatch):
+    # A clean data frame queues no ack timeout, so a lone sender's packet
+    # goes through without a single cancellation.
+    cancels = []
+    real_cancel = Engine.cancel
+
+    def counting_cancel(self, handle):
+        cancels.append(handle)
+        real_cancel(self, handle)
+
+    monkeypatch.setattr(Engine, "cancel", counting_cancel)
+    eng, mac, metrics, ledger = make_mac(lone_sender(), 60_000)
+    mac.start()
+    eng.run()
+    assert metrics.summarize(ledger, 60_000).classes[NORMAL].delivered == 1
+    assert cancels == []
+
+
+def run_jammed(target):
+    """A lone sender whose every ack (target "ack") or data frame ("data") is jammed.
+
+    The jammer is node 99, outside the MAC. Returns the trace and the report.
+    """
     nodes = lone_sender()
     rec = []
-    eng, mac, metrics, ledger = make_mac(
-        nodes, 400_000, trace=lambda t, n, k, d: rec.append((t, n, k, d))
-    )
+
+    def trace(t, n, k, d):
+        rec.append((t, n, k, d))
+        if target == "data" and n == 1 and k == "tx-start":
+            # One byte of noise from the frame's second microsecond on.
+            eng.schedule(t + 1, 99, lambda _: eng.begin_tx(99, 1, "noise"))
+
+    eng, mac, metrics, ledger = make_mac(nodes, 400_000, trace=trace)
     mac.start()
 
     def jam(tx, corrupted):
@@ -207,11 +239,38 @@ def test_retry_exhaustion_drops_the_packet():
         if tx.src == 1 and tx.kind == "data-frag" and not corrupted:
             eng.begin_tx(99, 11, "noise")
 
-    eng.add_end_listener(jam)
+    if target == "ack":
+        eng.add_end_listener(jam)
     eng.run()
-    rep = metrics.summarize(ledger, 400_000)
+    return rec, metrics.summarize(ledger, 400_000)
+
+
+def test_retry_exhaustion_drops_the_packet():
+    # A jammer node outside the MAC corrupts every ack, so the sender
+    # burns all 8 retries and abandons the packet on the 9th attempt.
+    rec, rep = run_jammed("ack")
     assert rep.classes[NORMAL].dropped == 1
     assert rep.classes[NORMAL].delivered == 0
     attempts = [1 for _, n, k, d in rec if n == 1 and k == "tx-start" and "frag=1/5" in d]
     assert len(attempts) == 9  # initial try + max_retries
     assert any(k == "drop" for _, _, k, _ in rec)
+
+
+@pytest.mark.parametrize("target", ["ack", "data"])
+def test_a_retry_waits_out_the_ack_timeout(target):
+    # Whether the ack or the data frame was lost, the sender retries only
+    # after the timeout (data end + ack airtime + ack_slack_us) and a full
+    # low-priority IFS, plus at most the largest backoff.
+    t = FrogTiming()
+    ack_air = tx_duration_us(t.ack_bytes)
+    rec, rep = run_jammed(target)
+    assert rep.classes[NORMAL].dropped == 1
+    ends = [tm for tm, n, k, d in rec if n == 1 and k == "tx-end"]
+    starts = [tm for tm, n, k, d in rec if n == 1 and k == "tx-start"]
+    assert len(starts) == len(ends) == 1 + t.max_retries
+    lost = [1 for _, n, k, d in rec if k == "tx-end" and d.startswith(
+        "kind=ack" if target == "ack" else "kind=data") and d.endswith("corrupted=1")]
+    assert len(lost) == len(ends)
+    for end, retry in zip(ends, starts[1:]):
+        floor = end + ack_air + t.ack_slack_us + t.ifs_low_us
+        assert floor <= retry <= floor + (t.backoff_slots_low - 1) * t.backoff_unit_us

@@ -253,6 +253,9 @@ def test_cli_rejects_config_errors(tmp_path, capsys):
     assert main(["run", "--protocol", "fps", "--slots-per-frame", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert main(["run", "--duration-s", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_module_entry_point():
