@@ -11,36 +11,39 @@ class EventQueue:
     """Min-heap of events ordered by (fire_time, owner, insertion seq).
 
     The three-part key is a total order, so pop order is independent of
-    the heap implementation. Cancelled events are skipped lazily on pop.
+    the heap implementation. A handle is the event's insertion sequence
+    number. Cancelled handles are kept in a set and their events skipped
+    on pop; the set is only consulted while it is non-empty. Cancelling a
+    handle that was already popped or cancelled is harmless: numbers are
+    never reused, and the set is emptied whenever the heap drains.
     """
 
-    __slots__ = ("_heap", "_entries", "_seq")
+    __slots__ = ("_heap", "_cancelled", "_seq")
 
     def __init__(self):
         self._heap = []
-        self._entries = {}
+        self._cancelled = set()
         self._seq = 0
 
     def push(self, time, owner, fn, arg):
         seq = self._seq
         self._seq = seq + 1
-        entry = [time, owner, seq, fn, arg]
-        self._entries[seq] = entry
-        heappush(self._heap, entry)
+        heappush(self._heap, (time, owner, seq, fn, arg))
         return seq
 
     def cancel(self, handle):
-        entry = self._entries.pop(handle, None)
-        if entry is not None:
-            entry[3] = None
+        self._cancelled.add(handle)
 
     def pop(self):
         heap = self._heap
+        cancelled = self._cancelled
         while heap:
-            entry = heappop(heap)
-            if entry[3] is not None:
-                del self._entries[entry[2]]
-                return (entry[0], entry[1], entry[3], entry[4])
+            time, owner, seq, fn, arg = heappop(heap)
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
+                continue
+            return (time, owner, fn, arg)
+        cancelled.clear()
         return None
 
 

@@ -86,6 +86,9 @@ class SimConfig:
             raise ValueError("n_nodes must be at least 1")
         if not 0 <= self.n_emergency <= self.n_nodes:
             raise ValueError("n_emergency must lie in [0, n_nodes]")
+        # fps scores distance over the area's diagonal, so it must be a length.
+        if not (math.isfinite(self.area_m) and self.area_m > 0):
+            raise ValueError("area_m must be a positive finite number of metres")
         if self.payload_bytes < 1:
             raise ValueError("payload_bytes must be at least 1")
         if self.bitrate_bps < 1:

@@ -75,6 +75,7 @@ class Engine:
         self.trace = trace  # callable(time_us, node, kind, detail) or None
         self._transmitting: set[int] = set()
         self._end_listeners = []
+        self._airtime: dict[int, int] = {}  # frame bytes -> airtime us
 
     # -- events ---------------------------------------------------------
 
@@ -93,9 +94,6 @@ class Engine:
 
     # -- radio ----------------------------------------------------------
 
-    def tx_duration(self, nbytes: int) -> int:
-        return tx_duration_us(nbytes, self.bitrate_bps)
-
     def add_end_listener(self, fn) -> None:
         """fn(tx, corrupted) is called when any transmission leaves the air."""
         self._end_listeners.append(fn)
@@ -103,13 +101,17 @@ class Engine:
     def begin_tx(self, src: int, nbytes: int, kind: str, meta=None, label: str = "") -> Transmission:
         if src in self._transmitting:
             raise ProtocolBug(f"node {src} is already transmitting")
-        end = self.now + self.tx_duration(nbytes)
+        air = self._airtime.get(nbytes)
+        if air is None:
+            air = self._airtime[nbytes] = tx_duration_us(nbytes, self.bitrate_bps)
+        end = self.now + air
         handle = self.channel.begin(src, self.now, end)
         tx = Transmission(src, self.now, end, kind, nbytes, meta, handle, label)
         self._transmitting.add(src)
         if self.trace is not None:
             self.trace(self.now, src, "tx-start", f"kind={kind}{label}")
-        self.schedule(end, src, self._end_tx, tx)
+        # Airtime is at least 1 us, so the end lies in the future.
+        self.queue.push(end, src, self._end_tx, tx)
         return tx
 
     def _end_tx(self, tx: Transmission) -> None:

@@ -18,6 +18,13 @@ without touching RNG or channel state. A skip of k frames accrues their
 baseline in closed form, k times one frame's budget in integer
 microseconds, so it is observably identical to processing each frame.
 
+Every member has the same baseline, so it is kept once, as running
+totals, and a member's ledger takes its share only when it is read: by
+the control period, for the residual energy of each claimant, and by
+finish(). Slot activity is charged to the ledger as it happens. The MAC
+also keeps the set of members holding packets, so a frame costs the
+number of its claimants, not the number of members.
+
 Every random draw belongs to one member and comes from that member's own
 substream: its EIS persistence coin, and the loss of an ack addressed to
 it (EIS ack or slot ack). A lost ack is the receiver failing to hear it,
@@ -223,9 +230,21 @@ class FpsMac:
         self._nq_retry = [0] * n
         self._rng = [substream(seed, i) for i in range(n)]
         self._next_pid = 0
-        # Next scheduled arrival per node, for the empty-frame fast-forward.
-        self._next_norm = [-1] * n
-        self._next_em = [-1] * n
+        # Next scheduled arrival per node, for the empty-frame fast-forward;
+        # inf for the sink, and for the emergencies of non-detectors.
+        self._next_norm = [math.inf] * n
+        self._next_em = [math.inf] * n
+        # Members with a non-empty queue: the claimants of the next frame.
+        self._holding = set()
+        # Baseline accrued so far: each member's awake and asleep us, which
+        # a member's ledger holds up to _settled_*[m], and the cluster
+        # head's RX and TX us not yet in its ledger.
+        self._awake_us = 0
+        self._asleep_us = 0
+        self._settled_awake = [0] * n
+        self._settled_asleep = [0] * n
+        self._sink_rx_us = 0
+        self._sink_tx_us = 0
 
         self._normal_profile = {}
         self._emergency_profile = {}
@@ -267,8 +286,16 @@ class FpsMac:
         self.eng.schedule(0, SINK, self._frame_start, None)
 
     def finish(self) -> None:
-        # Frame accruals already tile [0, duration); nothing left to flush.
-        pass
+        """Bring every ledger up to date with the baseline accrued so far.
+
+        Frame accruals tile [0, duration), so afterwards each node's
+        states sum to the run's duration.
+        """
+        for m in self.member_ids:
+            self._settle(m)
+        self.ledger.add(SINK, RX, self._sink_rx_us)
+        self.ledger.add(SINK, TX, self._sink_tx_us)
+        self._sink_rx_us = self._sink_tx_us = 0
 
     # -- energy ---------------------------------------------------------
 
@@ -283,8 +310,9 @@ class FpsMac:
 
         Every frame starts before the run's end. The frames that end by
         then accrue in closed form, k at once; only a frame that the end
-        clips goes through _span. The ledger holds integer microseconds,
-        so this equals accruing each frame in turn.
+        clips goes through _span. The budget goes to the running totals,
+        not to the ledger (see _settle). The ledger holds integer
+        microseconds, so this equals accruing each frame in turn.
         """
         g = self.geom
         whole = (self.eng.duration_us - f) // g.frame_len
@@ -302,12 +330,18 @@ class FpsMac:
             ctrl = c + g.eis_len
             sink_rx += self._span(c, ctrl) + self._span(ctrl + g.sched_air, c + g.frame_len)
             sink_tx += self._span(ctrl, ctrl + g.sched_air)
+        self._awake_us += awake
+        self._asleep_us += asleep
+        self._sink_rx_us += sink_rx
+        self._sink_tx_us += sink_tx
+
+    def _settle(self, m: int) -> None:
+        """Add to member m's ledger the baseline accrued since it was last settled."""
         add = self.ledger.add
-        for m in self.member_ids:
-            add(m, RX, awake)
-            add(m, SLEEP, asleep)
-        add(SINK, RX, sink_rx)
-        add(SINK, TX, sink_tx)
+        add(m, RX, self._awake_us - self._settled_awake[m])
+        add(m, SLEEP, self._asleep_us - self._settled_asleep[m])
+        self._settled_awake[m] = self._awake_us
+        self._settled_asleep[m] = self._asleep_us
 
     def _adjust(self, node: int, from_state: int, to_state: int, s: int, e: int) -> None:
         dt = self._span(s, e)
@@ -326,12 +360,14 @@ class FpsMac:
 
     def _arrival_normal(self, node: int) -> None:
         self._nq[node].append(self._make_packet(node, NORMAL))
+        self._holding.add(node)
         t = next_arrival(self._normal_profile[node], self.eng.now)
         self._next_norm[node] = t
         self.eng.schedule(t, node, self._arrival_normal, node)
 
     def _arrival_emergency(self, node: int) -> None:
         self._emq[node].append(self._make_packet(node, EMERGENCY))
+        self._holding.add(node)
         t = next_arrival(self._emergency_profile[node], self.eng.now)
         self._next_em[node] = t
         self.eng.schedule(t, node, self._arrival_emergency, node)
@@ -340,20 +376,19 @@ class FpsMac:
 
     def _frame_start(self, _arg) -> None:
         f = self.eng.now
+        if not self._holding and self.eng.trace is None:
+            self._fast_forward(f)
+            return
         emq = self._emq
         nq = self._nq
         snapshot = {}
         contenders = []
-        for m in self.member_ids:
+        # Node-id order: simultaneous indications start, and trace, in it.
+        for m in sorted(self._holding):
             ne = len(emq[m])
-            nn = len(nq[m])
-            if ne or nn:
-                snapshot[m] = (ne, nn)
-                if ne:
-                    contenders.append(m)
-        if not snapshot and self.eng.trace is None:
-            self._fast_forward(f)
-            return
+            snapshot[m] = (ne, len(nq[m]))
+            if ne:
+                contenders.append(m)
 
         self._accrue_baseline(f)
         self._frame_t = f
@@ -395,17 +430,10 @@ class FpsMac:
         """
         g = self.geom
         d = self.eng.duration_us
-        ta = None
-        for m in self.member_ids:
-            t = self._next_norm[m]
-            if ta is None or (t >= 0 and t < ta):
-                ta = t
-            t = self._next_em[m]
-            if t >= 0 and t < ta:
-                ta = t
+        ta = min(min(self._next_norm), min(self._next_em))
         # Frames from f that start before the run's end.
         k = (d - f + g.frame_len - 1) // g.frame_len
-        if ta is not None and ta < d:
+        if ta < d:
             k_ta = (ta - f + g.frame_len - 1) // g.frame_len
             k = min(k, max(k_ta, 1))
         self._accrue_baseline(f, k)
@@ -474,6 +502,7 @@ class FpsMac:
             total = ne + nn
             if total > self.timing.slots_per_frame:
                 total = self.timing.slots_per_frame
+            self._settle(m)
             residual = self.initial_energy_uj - self.ledger.energy_uj(m)
             requests[m] = SlotRequest(
                 FuzzyInputs(self._dist[m], residual, total, 1 if ne else 0),
@@ -553,6 +582,7 @@ class FpsMac:
             self._em_retry[node] = 0
         else:
             self._nq_retry[node] = 0
+        self._release(node)
         self.metrics.record_delivery(packet, now)
         if self.eng.trace is not None:
             self.eng.trace(
@@ -562,12 +592,18 @@ class FpsMac:
 
     # -- retry bookkeeping -------------------------------------------------
 
+    def _release(self, node: int) -> None:
+        """Drop node from the holding set once it has sent its last packet."""
+        if not self._emq[node] and not self._nq[node]:
+            self._holding.discard(node)
+
     def _bump_retry(self, node: int, klass: str) -> None:
         if klass == EMERGENCY:
             self._em_retry[node] += 1
             if self._em_retry[node] > self.timing.max_retry_frames:
                 self._em_retry[node] = 0
                 packet = self._emq[node].popleft()
+                self._release(node)
                 self.metrics.record_drop(packet)
                 if self.eng.trace is not None:
                     self.eng.trace(
@@ -578,6 +614,7 @@ class FpsMac:
             if self._nq_retry[node] > self.timing.max_retry_frames:
                 self._nq_retry[node] = 0
                 packet = self._nq[node].popleft()
+                self._release(node)
                 self.metrics.record_drop(packet)
                 if self.eng.trace is not None:
                     self.eng.trace(

@@ -46,14 +46,21 @@ class FrogTiming:
     ack_slack_us: int = 64  # grace past the expected ack end before a retry
 
     def validate(self) -> None:
+        # Spacings are waits, so none may be negative; a backoff draws from
+        # range(slots), which must not be empty.
+        for name in ("ifs_high_us", "ifs_low_us", "fragment_gap_us", "backoff_unit_us",
+                     "ack_slack_us"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("backoff_slots_high", "backoff_slots_low"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         worst_high = self.ifs_high_us + (self.backoff_slots_high - 1) * self.backoff_unit_us
         if worst_high >= self.fragment_gap_us:
             raise ValueError(
                 "emergency contention (ifs_high + max backoff = "
                 f"{worst_high} us) must finish inside the {self.fragment_gap_us} us gap"
             )
-        if self.ack_slack_us < 0:
-            raise ValueError(f"ack_slack_us must be non-negative, got {self.ack_slack_us}")
         if self.ifs_low_us <= self.fragment_gap_us:
             raise ValueError(
                 "low-priority IFS must outlast the inter-fragment gap, got "

@@ -71,6 +71,12 @@ def test_validate_rejects_bad_ranges():
         {"duration_s": 1e308},  # finite seconds, but infinite microseconds
         {"normal_interval_s": float("inf")},
         {"emergency_interval_s": float("inf")},
+        # the area is a length: fps divides distances by its diagonal
+        {"area_m": 0.0},
+        {"area_m": -5.0},
+        {"area_m": float("inf")},
+        {"area_m": float("nan")},
+        {"protocol": "fps", "area_m": 0.0},
     ):
         with pytest.raises(ValueError):
             SimConfig(**kwargs).validate()

@@ -2,6 +2,8 @@
 
 import pytest
 
+import priomac.fps
+from priomac._pykernels import EventQueue
 from priomac.engine import SINK, Engine
 from priomac.fps import (
     FpsMac,
@@ -15,7 +17,7 @@ from priomac.fps import (
 )
 from priomac.fuzzy import priority_score
 from priomac.metrics import EnergyLedger, MetricsCollector, PowerModel
-from priomac.traffic import EMERGENCY, NORMAL, NodeConfig
+from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, build_population
 
 
 # -- frame geometry ----------------------------------------------------------
@@ -134,7 +136,8 @@ FRAME = GEOM.frame_len            # 55_568
 SLOT0_DELIVERY = FRAME + 3568 + 1248 + 352  # ack end of data slot 0, frame 1
 
 
-def make_fps(nodes, duration_us, seed=1, trace=None, **timing_kwargs):
+def make_fps(nodes, duration_us, seed=1, trace=None, normal_interval_us=10_000_000,
+             **timing_kwargs):
     eng = Engine(duration_us=duration_us, trace=trace)
     metrics = MetricsCollector()
     ledger = EnergyLedger([SINK] + [n.node_id for n in nodes], PowerModel())
@@ -146,7 +149,7 @@ def make_fps(nodes, duration_us, seed=1, trace=None, **timing_kwargs):
         seed=seed,
         timing=FpsTiming(**timing_kwargs),
         payload_bytes=34,
-        normal_interval_us=10_000_000,
+        normal_interval_us=normal_interval_us,
         emergency_interval_us=120_000_000,
         initial_energy_uj=50e6,
     )
@@ -204,6 +207,16 @@ def test_eis_collision_defers_both_contenders():
     assert len(collisions) == 5  # initial attempt + 4 retry frames
     assert sum(1 for _, _, k, _ in rec if k == "drop") == 2
     assert not any(d.startswith("kind=data-whole") for _, _, k, d in rec if k == "tx-start")
+
+
+def test_eis_contenders_transmit_in_node_id_order():
+    # Simultaneous indications start in node-id order, so a trace does not
+    # depend on how the MAC stores its claimants (9 hashes before 3 in a
+    # small set).
+    nodes = [member(9, emergency=True, em_phase=1000), member(3, emergency=True, em_phase=2000)]
+    _, rec, _ = run_fps(nodes, 2 * FRAME, eis_persistence=1.0)
+    starts = [n for t, n, k, d in rec if k == "tx-start" and d.startswith("kind=indication")]
+    assert starts == [3, 9]
 
 
 def test_lost_eis_ack_retries_next_frame():
@@ -329,3 +342,109 @@ def test_a_detectors_ack_losses_leave_other_members_alone(seed):
     kinds = {k for _, k, _ in plain}
     assert {"delivery", "ack-lost"} <= kinds, "scenario exercises no ack losses"
     assert member_outcomes(runs[True], 1) == plain
+
+
+# -- claimant set and lazy baseline ----------------------------------------
+
+class CheckedQueue(EventQueue):
+    """Event queue that runs a check before each pop, i.e. after each event."""
+
+    __slots__ = ("check",)
+
+    def pop(self):
+        self.check()
+        return super().pop()
+
+
+# (normal interval, duration): busy traffic shares every frame; sparse
+# traffic leaves long empty gaps that an untraced run fast-forwards.
+TRAFFIC = {"busy": (300_000, 1000 * FRAME), "sparse": (10_000_000, 2000 * FRAME)}
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("traffic", sorted(TRAFFIC))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_holding_set_is_the_members_with_queued_packets(traffic, seed, traced):
+    # Half the acks are lost and a packet gets three retry frames, so packets
+    # leave their queues by delivery and by drop, in both classes.
+    interval, duration = TRAFFIC[traffic]
+    nodes = build_population(20, 18, seed, normal_interval_us=interval)
+    trace = (lambda *_: None) if traced else None
+    eng, mac, metrics, ledger = make_fps(
+        nodes, duration, seed=seed, trace=trace, normal_interval_us=interval,
+        ack_loss_p=0.5, max_retry_frames=3,
+    )
+    sizes = set()
+
+    def check():
+        holding = {m for m in mac.member_ids if mac._emq[m] or mac._nq[m]}
+        assert mac._holding == holding
+        sizes.add(len(holding))
+
+    eng.queue = CheckedQueue()
+    eng.queue.check = check
+    mac.start()
+    eng.run()
+    check()
+    rep = metrics.summarize(ledger, duration)
+    for klass in (EMERGENCY, NORMAL):
+        assert rep.classes[klass].delivered > 0 and rep.classes[klass].dropped > 0
+    assert 0 in sizes and max(sizes) >= 2
+
+
+def oracle_residual(geom, power, initial, duration, txs, m, start, now):
+    """Residual energy of member m at `now`, in frame `start`'s control period.
+
+    Each frame up to this one gives every member its awake and asleep
+    budget, the last one clipped to the run; m's own indications and data
+    slots before `now` move time into TX and RX.
+    """
+    awake = asleep = 0
+    for f in range(0, start + 1, geom.frame_len):
+        span = min(geom.frame_len, duration - f)
+        awake += min(geom.data_offset, span)
+        asleep += max(0, span - geom.data_offset)
+    n_ind = sum(1 for t, src, kind in txs if src == m and kind == FpsMac.IND and t < now)
+    n_data = sum(1 for t, src, kind in txs if src == m and kind == FpsMac.DATA and t < now)
+    tx = n_ind * geom.ind_air + n_data * geom.data_air
+    rx = awake - n_ind * geom.ind_air + n_data * geom.ack_air
+    sleep = asleep - n_data * (geom.data_air + geom.ack_air)
+    p = power.as_tuple()
+    return initial - (tx * p[0] + rx * p[1] + 0 * p[2] + sleep * p[3]) / 1000.0
+
+
+@pytest.mark.parametrize("duration", [1500 * FRAME, 1500 * FRAME - 1],
+                         ids=["k-frames", "k-frames-1"])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_scored_residual_energy_matches_the_frame_count(seed, duration, monkeypatch):
+    # fps-sparse's population: the pairs of members whose phases lie within
+    # a frame share a frame every 180 or so, with empty frames between.
+    nodes = build_population(20, 18, seed)
+    eng, mac, metrics, ledger = make_fps(nodes, duration, seed=seed, ack_loss_p=0.3)
+    txs = []
+    begin_tx = eng.begin_tx
+
+    def recorded_begin_tx(src, nbytes, kind, meta=None, label=""):
+        txs.append((eng.now, src, kind))
+        return begin_tx(src, nbytes, kind, meta, label)
+
+    calls = []
+    build = priomac.fps.build_frame
+
+    def recorded_build_frame(start, index, mode, requests, *args):
+        calls.append((eng.now, start, index, {m: r.inputs.residual_energy_uj
+                                              for m, r in requests.items()}))
+        return build(start, index, mode, requests, *args)
+
+    eng.begin_tx = recorded_begin_tx
+    monkeypatch.setattr(priomac.fps, "build_frame", recorded_build_frame)
+    mac.start()
+    eng.run()
+    shared = [c for c in calls if len(c[3]) >= 2]
+    assert len(shared) >= 5 and len(calls) < 1500 // 5, "no sparse shared frames"
+    for now, start, index, residuals in calls:
+        assert index == start // FRAME
+        for m, residual in residuals.items():
+            assert residual == oracle_residual(
+                GEOM, ledger.power, 50e6, duration, txs, m, start, now
+            ), (m, start)

@@ -105,6 +105,21 @@ def test_timing_rejects_negative_ack_slack():
     FrogTiming(ack_slack_us=0).validate()
 
 
+@pytest.mark.parametrize("field,kwargs", [
+    ("backoff_slots_high", {"backoff_slots_high": 0}),  # a draw from range(0)
+    ("backoff_slots_low", {"backoff_slots_low": 0}),
+    ("backoff_unit_us", {"backoff_unit_us": -10}),  # a backoff ending before it began
+    ("ifs_high_us", {"ifs_high_us": -1}),
+    ("ifs_low_us", {"ifs_low_us": -1}),
+    # negative spacings that satisfy both preemption inequalities
+    ("ifs_high_us", {"ifs_high_us": -800, "fragment_gap_us": -5}),
+    ("fragment_gap_us", {"fragment_gap_us": -1}),
+], ids=["slots-high", "slots-low", "unit", "ifs-high", "ifs-low", "ifs-high-gap", "gap"])
+def test_timing_rejects_out_of_range_spacing(field, kwargs):
+    with pytest.raises(ValueError, match=field):
+        FrogTiming(**kwargs).validate()
+
+
 # -- MAC scenarios ---------------------------------------------------------
 
 def make_mac(nodes, duration_us, fragment_size=8, seed=1, trace=None):

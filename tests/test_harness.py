@@ -256,6 +256,12 @@ def test_cli_rejects_config_errors(tmp_path, capsys):
     assert main(["run", "--duration-s", "inf"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert main(["run", "--protocol", "fps", "--area-m", "0", "--duration-s", "300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert main(["run", "--duration-s", "2", "--backoff-unit-us", "-10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_module_entry_point():
