@@ -7,10 +7,17 @@ import dataclasses
 import sys
 
 from . import BACKEND
-from .config import _CONVERTERS, SimConfig, parse_config
+from .config import SimConfig, parse_config
 from .harness import EXPERIMENTS, emit_trace, run_once, run_sweep
 from .metrics import STATE_NAMES
 from .traffic import CLASSES
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line the way main refuses a bad setting."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -21,8 +28,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     )
     for field in dataclasses.fields(SimConfig):
         flag = "--" + field.name.replace("_", "-")
-        p.add_argument(flag, dest=field.name, type=_CONVERTERS[field.name],
-                       default=None, metavar="V")
+        # Raw text: parse_config converts and checks it, naming the field.
+        p.add_argument(flag, dest=field.name, default=None, metavar="V")
 
 
 def _effective_config(args) -> SimConfig:
@@ -105,7 +112,7 @@ def _cmd_trace(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="priomac",
         description="Discrete-event comparison of two priority-aware sensor MACs.",
     )
@@ -132,8 +139,8 @@ def main(argv=None) -> int:
     p_trace.add_argument("--out", required=True, metavar="FILE")
     p_trace.set_defaults(fn=_cmd_trace)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,58 +1,77 @@
-"""Run configuration: defaults, file parsing, and validation.
+"""The one parameter spec: defaults, bounds, parsing and validation.
+
+Every setting of a run is a SimConfig field, and its default is written
+there and nowhere else. A field's bounds live in its metadata:
+
+- ``ge`` / ``gt``: the least value allowed, inclusive / exclusive;
+- ``le`` / ``lt``: the greatest value allowed, inclusive / exclusive;
+- ``us``: a span in seconds that must come to a whole number of
+  microseconds, at least 1 (the model runs in integer microseconds, and a
+  span that rounds to 0 would run nothing or draw from an empty range).
+
+Every float must be finite. One loop checks each field against its
+bounds; the few rules that tie fields together follow it.
 
 Config files are flat `key = value` text, one setting per line, with `#`
-comments. Keys match the SimConfig field names. Command-line flags (or
-any overrides dict) win over file values, which win over defaults.
+comments. Keys match the SimConfig field names, and values convert by
+the field's annotation. Command-line flags (or any overrides dict) win
+over file values, which win over defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 PROTOCOLS = ("frog", "fps")
+
+
+def _spec(default, **bounds):
+    return field(default=default, metadata=bounds)
 
 
 @dataclass
 class SimConfig:
     protocol: str = "frog"
     seed: int = 1
-    duration_s: float = 5000.0
-    n_nodes: int = 20
-    n_emergency: int = 3
-    area_m: float = 50.0
-    payload_bytes: int = 34
-    normal_interval_s: float = 10.0
-    emergency_interval_s: float = 120.0
-    bitrate_bps: int = 250_000
-    cca_us: int = 128
-    # fragmentation MAC
-    fragment_size: int | None = None  # None = protocol default (8)
-    header_bytes: int = 5
-    ack_bytes: int = 11
-    ifs_high_us: int = 192
-    ifs_low_us: int = 1000
-    fragment_gap_us: int = 800
-    backoff_unit_us: int = 160
-    backoff_slots_high: int = 4
-    backoff_slots_low: int = 8
-    frog_max_retries: int = 8
-    ack_slack_us: int = 64
-    # TDMA MAC
-    slots_per_frame: int = 20
-    slot_guard_us: int = 1000
-    indication_bytes: int = 8
-    schedule_bytes: int = 30
-    eis_persistence: float = 0.5
-    ack_loss_p: float = 0.01
-    fps_max_retry_frames: int = 50
-    # radio power draw
-    p_tx_mw: float = 52.2
-    p_rx_mw: float = 59.1
-    p_idle_mw: float = 1.28
-    p_sleep_mw: float = 0.02
-    initial_energy_j: float = 50.0
+    duration_s: float = _spec(5000.0, us=True)
+    n_nodes: int = _spec(20, ge=1)
+    n_emergency: int = _spec(3, ge=0)
+    # fps scores distance over the area's diagonal, so it must be a length.
+    area_m: float = _spec(50.0, gt=0.0)
+    payload_bytes: int = _spec(34, ge=1)
+    normal_interval_s: float = _spec(10.0, us=True)
+    emergency_interval_s: float = _spec(120.0, us=True)
+    bitrate_bps: int = _spec(250_000, ge=1)  # 802.15.4-class radio
+    cca_us: int = _spec(128, ge=1)
+    # fragmentation MAC (frog). Spacings are waits, so none may be negative.
+    fragment_size: int | None = _spec(None, ge=1)  # None = protocol default (8)
+    header_bytes: int = _spec(5, ge=0)
+    ack_bytes: int = _spec(11, ge=1)
+    ifs_high_us: int = _spec(192, ge=0)
+    ifs_low_us: int = _spec(1000, ge=0)
+    fragment_gap_us: int = _spec(800, ge=0)
+    backoff_unit_us: int = _spec(160, ge=0)
+    # A backoff draws uniform {0..slots-1} units, from a range that must not be empty.
+    backoff_slots_high: int = _spec(4, ge=1)
+    backoff_slots_low: int = _spec(8, ge=1)
+    frog_max_retries: int = _spec(8, ge=0)
+    ack_slack_us: int = _spec(64, ge=0)  # grace past the expected ack end before a retry
+    # TDMA MAC (fps)
+    slots_per_frame: int = _spec(20, ge=1)
+    slot_guard_us: int = _spec(1000, ge=0)
+    indication_bytes: int = _spec(8, ge=1)
+    schedule_bytes: int = _spec(30, ge=1)
+    eis_persistence: float = _spec(0.5, gt=0.0, le=1.0)
+    ack_loss_p: float = _spec(0.01, ge=0.0, lt=1.0)
+    fps_max_retry_frames: int = _spec(50, ge=0)
+    # radio power draw, CC2420-class figures
+    p_tx_mw: float = _spec(52.2, ge=0.0)
+    p_rx_mw: float = _spec(59.1, ge=0.0)
+    p_idle_mw: float = _spec(1.28, ge=0.0)
+    p_sleep_mw: float = _spec(0.02, ge=0.0)
+    initial_energy_j: float = _spec(50.0, gt=0.0)
 
     @property
     def duration_us(self) -> int:
@@ -66,6 +85,11 @@ class SimConfig:
     def emergency_interval_us(self) -> int:
         return int(round(self.emergency_interval_s * 1e6))
 
+    @property
+    def power_mw(self) -> tuple[float, float, float, float]:
+        """Draw per radio state, in the ledger's (TX, RX, IDLE, SLEEP) order."""
+        return (self.p_tx_mw, self.p_rx_mw, self.p_idle_mw, self.p_sleep_mw)
+
     def resolved_fragment_size(self) -> int:
         if self.fragment_size is not None:
             return self.fragment_size
@@ -74,47 +98,69 @@ class SimConfig:
     def validate(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; pick one of {PROTOCOLS}")
-        # The model runs in whole microseconds: a span must convert to a
-        # finite count, and one that rounds to 0 us would run nothing
-        # (duration) or draw from an empty range (intervals).
-        for name in ("duration_s", "normal_interval_s", "emergency_interval_s"):
-            if not math.isfinite(getattr(self, name) * 1e6):
-                raise ValueError(f"{name} must be a finite number of seconds")
-        if self.duration_us < 1:
-            raise ValueError("duration_s must be at least 1 us")
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be at least 1")
-        if not 0 <= self.n_emergency <= self.n_nodes:
-            raise ValueError("n_emergency must lie in [0, n_nodes]")
-        # fps scores distance over the area's diagonal, so it must be a length.
-        if not (math.isfinite(self.area_m) and self.area_m > 0):
-            raise ValueError("area_m must be a positive finite number of metres")
-        if self.payload_bytes < 1:
-            raise ValueError("payload_bytes must be at least 1")
-        if self.bitrate_bps < 1:
-            raise ValueError("bitrate_bps must be positive")
-        if self.cca_us < 1:
-            raise ValueError("cca_us must be positive")
-        if self.normal_interval_us < 1 or self.emergency_interval_us < 1:
-            raise ValueError("traffic intervals must be at least 1 us")
+        for name, bounds in _BOUNDED:
+            _check(name, getattr(self, name), bounds)
+        if self.n_emergency > self.n_nodes:
+            raise ValueError(
+                f"n_emergency must be at most n_nodes ({self.n_nodes}), got {self.n_emergency}"
+            )
         if self.fragment_size is not None:
-            if self.protocol == "fps":
+            if self.protocol != "frog":
                 raise ValueError("fragment_size only applies to the frog protocol")
-            if not 1 <= self.fragment_size <= self.payload_bytes:
-                raise ValueError("fragment_size must lie in [1, payload_bytes]")
-        if self.slots_per_frame < 1:
-            raise ValueError("slots_per_frame must be at least 1")
-        if not 0.0 < self.eis_persistence <= 1.0:
-            raise ValueError("eis_persistence must lie in (0, 1]")
-        if not 0.0 <= self.ack_loss_p < 1.0:
-            raise ValueError("ack_loss_p must lie in [0, 1)")
-        if self.initial_energy_j <= 0:
-            raise ValueError("initial_energy_j must be positive")
-        if min(self.p_tx_mw, self.p_rx_mw, self.p_idle_mw, self.p_sleep_mw) < 0:
-            raise ValueError("power draws must be non-negative")
+            if self.fragment_size > self.payload_bytes:
+                raise ValueError(
+                    f"fragment_size must be at most payload_bytes ({self.payload_bytes}), "
+                    f"got {self.fragment_size}"
+                )
+        if self.protocol == "frog":
+            # The gap must outlast emergency contention and be outlasted by
+            # low-priority sensing, so an emergency frame always wins it.
+            worst_high = self.ifs_high_us + (self.backoff_slots_high - 1) * self.backoff_unit_us
+            if worst_high >= self.fragment_gap_us:
+                raise ValueError(
+                    "emergency contention (ifs_high_us + (backoff_slots_high - 1) * "
+                    f"backoff_unit_us = {worst_high} us) must finish inside "
+                    f"fragment_gap_us ({self.fragment_gap_us} us)"
+                )
+            if self.ifs_low_us <= self.fragment_gap_us:
+                raise ValueError(
+                    "ifs_low_us must outlast fragment_gap_us, got "
+                    f"{self.ifs_low_us} <= {self.fragment_gap_us}"
+                )
+        elif self.slot_guard_us < self.cca_us:
+            raise ValueError(
+                f"slot_guard_us must cover one CCA (cca_us = {self.cca_us}), "
+                f"got {self.slot_guard_us}"
+            )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+
+_FIELDS = {f.name: f for f in dataclasses.fields(SimConfig)}
+_BOUNDED = [(f.name, f.metadata) for f in _FIELDS.values() if f.metadata]
+
+
+def _check(name: str, value, bounds) -> None:
+    """Raise a ValueError naming the field when value breaks one of its bounds."""
+    if value is None:
+        return  # an optional field left to its protocol default
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if bounds.get("us"):
+        us = value * 1e6
+        if not math.isfinite(us):
+            raise ValueError(f"{name} must be a finite number of microseconds, got {value!r} s")
+        if round(us) < 1:
+            raise ValueError(f"{name} must be at least 1 us, got {value!r} s")
+    if "ge" in bounds and not value >= bounds["ge"]:
+        raise ValueError(f"{name} must be at least {bounds['ge']}, got {value!r}")
+    if "gt" in bounds and not value > bounds["gt"]:
+        raise ValueError(f"{name} must be greater than {bounds['gt']}, got {value!r}")
+    if "le" in bounds and not value <= bounds["le"]:
+        raise ValueError(f"{name} must be at most {bounds['le']}, got {value!r}")
+    if "lt" in bounds and not value < bounds["lt"]:
+        raise ValueError(f"{name} must be less than {bounds['lt']}, got {value!r}")
 
 
 def _opt_int(text: str):
@@ -123,46 +169,28 @@ def _opt_int(text: str):
     return int(text)
 
 
-_CONVERTERS = {
-    "protocol": str,
-    "seed": int,
-    "duration_s": float,
-    "n_nodes": int,
-    "n_emergency": int,
-    "area_m": float,
-    "payload_bytes": int,
-    "normal_interval_s": float,
-    "emergency_interval_s": float,
-    "bitrate_bps": int,
-    "cca_us": int,
-    "fragment_size": _opt_int,
-    "header_bytes": int,
-    "ack_bytes": int,
-    "ifs_high_us": int,
-    "ifs_low_us": int,
-    "fragment_gap_us": int,
-    "backoff_unit_us": int,
-    "backoff_slots_high": int,
-    "backoff_slots_low": int,
-    "frog_max_retries": int,
-    "ack_slack_us": int,
-    "slots_per_frame": int,
-    "slot_guard_us": int,
-    "indication_bytes": int,
-    "schedule_bytes": int,
-    "eis_persistence": float,
-    "ack_loss_p": float,
-    "fps_max_retry_frames": int,
-    "p_tx_mw": float,
-    "p_rx_mw": float,
-    "p_idle_mw": float,
-    "p_sleep_mw": float,
-    "initial_energy_j": float,
-}
+# Converters by annotation; a field's annotation is its type as a string.
+_PARSERS = {"str": str, "int": int, "float": float, "int | None": _opt_int}
+
+
+def _convert(key: str, text: str):
+    """A field's value from its text form; the ValueError names the field."""
+    f = _FIELDS.get(key)
+    if f is None:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        return _PARSERS[f.type](text)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from exc
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> SimConfig:
-    """Build a validated SimConfig from an optional file plus overrides."""
+    """Build a validated SimConfig from an optional file plus overrides.
+
+    String override values convert like file values; others are taken as
+    they are. An override that is or reads as None (`none`) leaves the
+    setting as the file or the default has it.
+    """
     cfg = SimConfig()
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -174,21 +202,17 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> SimC
                     raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                value = value.strip()
-                conv = _CONVERTERS.get(key)
-                if conv is None:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
                 try:
-                    setattr(cfg, key, conv(value))
+                    setattr(cfg, key, _convert(key, value.strip()))
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if overrides:
         for key, value in overrides.items():
-            conv = _CONVERTERS.get(key)
-            if conv is None:
+            if isinstance(value, str):
+                value = _convert(key, value)
+            elif key not in _FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
-            if value is None:
-                continue
-            setattr(cfg, key, conv(value) if isinstance(value, str) else value)
+            if value is not None:
+                setattr(cfg, key, value)
     cfg.validate()
     return cfg

@@ -12,9 +12,7 @@ import random
 from dataclasses import dataclass
 
 from ._pykernels import Channel, EventQueue
-
-DEFAULT_BITRATE_BPS = 250_000  # 802.15.4-class radio
-DEFAULT_CCA_US = 128
+from .config import SimConfig
 
 SINK = 0  # cluster head / sink node id; members are 1..n
 
@@ -37,7 +35,7 @@ def substream(seed: int, index: int) -> random.Random:
     return random.Random(z ^ (z >> 31))
 
 
-def tx_duration_us(nbytes: int, bitrate_bps: int = DEFAULT_BITRATE_BPS) -> int:
+def tx_duration_us(nbytes: int, bitrate_bps: int = SimConfig.bitrate_bps) -> int:
     """Airtime of one frame, rounded up to a whole microsecond."""
     if nbytes < 1:
         raise ValueError("a frame must carry at least one byte")
@@ -62,14 +60,12 @@ class Engine:
     def __init__(
         self,
         duration_us: int,
-        bitrate_bps: int = DEFAULT_BITRATE_BPS,
-        cca_us: int = DEFAULT_CCA_US,
+        bitrate_bps: int = SimConfig.bitrate_bps,
         trace=None,
     ):
         self.now = 0
         self.duration_us = duration_us
         self.bitrate_bps = bitrate_bps
-        self.cca_us = cca_us
         self.queue = EventQueue()
         self.channel = Channel()
         self.trace = trace  # callable(time_us, node, kind, detail) or None
@@ -124,12 +120,6 @@ class Engine:
             )
         for fn in self._end_listeners:
             fn(tx, corrupted)
-
-    def carrier_sense(self, window_us: int) -> bool:
-        """Busy/idle verdict for a sensing window that just ended at `now`."""
-        if window_us < self.cca_us:
-            raise ValueError(f"sensing window shorter than CCA ({self.cca_us} us)")
-        return self.channel.busy_in(self.now - window_us, self.now)
 
     # -- main loop ------------------------------------------------------
 

@@ -35,56 +35,33 @@ draw there also means adding a detector re-deals nobody else's outcomes.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
+from .config import SimConfig
 from .engine import SINK, Engine, ProtocolBug, substream, tx_duration_us
 from .fuzzy import priority_score
 from .metrics import RX, SLEEP, TX, EnergyLedger, MetricsCollector
-from .traffic import (
-    EMERGENCY,
-    NORMAL,
-    NodeConfig,
-    Packet,
-    TrafficProfile,
-    next_arrival,
-)
+from .traffic import EMERGENCY, NORMAL, ArrivalProcess, NodeConfig
 
 MODE_PERIODIC = "PERIODIC"
 MODE_EMERGENCY = "EMERGENCY"
 
 
-@dataclass
-class FpsTiming:
-    slots_per_frame: int = 20
-    slot_guard_us: int = 1000
-    indication_bytes: int = 8
-    schedule_bytes: int = 30
-    ack_bytes: int = 11
-    header_bytes: int = 5
-    eis_persistence: float = 0.5
-    ack_loss_p: float = 0.01
-    max_retry_frames: int = 50
-
-
 class FrameGeometry:
     """Microsecond layout of one TDMA frame, fixed for a whole run."""
 
-    def __init__(self, timing: FpsTiming, payload_bytes: int, bitrate_bps: int, cca_us: int):
-        self.ind_air = tx_duration_us(timing.indication_bytes, bitrate_bps)
-        self.ack_air = tx_duration_us(timing.ack_bytes, bitrate_bps)
-        self.data_air = tx_duration_us(payload_bytes + timing.header_bytes, bitrate_bps)
-        self.sched_air = tx_duration_us(timing.schedule_bytes, bitrate_bps)
-        guard = timing.slot_guard_us
-        if guard < cca_us:
-            raise ValueError("slot guard must cover at least one CCA")
-        self.cca_us = cca_us
+    def __init__(self, cfg: SimConfig):
+        bitrate = cfg.bitrate_bps
+        self.ind_air = tx_duration_us(cfg.indication_bytes, bitrate)
+        self.ack_air = tx_duration_us(cfg.ack_bytes, bitrate)
+        self.data_air = tx_duration_us(cfg.payload_bytes + cfg.header_bytes, bitrate)
+        self.sched_air = tx_duration_us(cfg.schedule_bytes, bitrate)
+        guard = cfg.slot_guard_us
         self.eis_len = self.ind_air + self.ack_air + guard
         self.ctrl_len = self.sched_air + guard
         self.slot_len = self.data_air + self.ack_air + guard
         self.data_offset = self.eis_len + self.ctrl_len
-        self.slots_per_frame = timing.slots_per_frame
-        self.frame_len = self.data_offset + timing.slots_per_frame * self.slot_len
+        self.frame_len = self.data_offset + cfg.slots_per_frame * self.slot_len
 
     def slot_span(self, frame_start: int, i: int) -> tuple[int, int]:
         s = frame_start + self.data_offset + i * self.slot_len
@@ -110,8 +87,6 @@ class TdmaFrame:
     index: int
     start: int
     mode: str
-    eis: tuple[int, int]
-    control: tuple[int, int]
     data_slots: list[tuple[int, int, int, str]]  # (start, end, node, purpose)
 
 
@@ -178,13 +153,11 @@ def build_frame(
         index=index,
         start=start,
         mode=mode,
-        eis=(start, start + geom.eis_len),
-        control=(start + geom.eis_len, start + geom.data_offset),
         data_slots=data_slots,
     )
 
 
-class FpsMac:
+class FpsMac(ArrivalProcess):
     """Event-driven TDMA protocol over the shared engine."""
 
     IND = "indication"
@@ -199,41 +172,24 @@ class FpsMac:
         nodes: list[NodeConfig],
         metrics: MetricsCollector,
         ledger: EnergyLedger,
-        seed: int,
-        timing: FpsTiming | None = None,
-        payload_bytes: int = 34,
-        normal_interval_us: int = 10_000_000,
-        emergency_interval_us: int = 120_000_000,
-        initial_energy_uj: float = 50e6,
-        area_m: float = 50.0,
+        cfg: SimConfig,
     ):
-        self.eng = eng
-        self.nodes = nodes
-        self.metrics = metrics
+        super().__init__(eng, nodes, metrics, cfg)
         self.ledger = ledger
-        self.timing = timing or FpsTiming()
-        self.geom = FrameGeometry(self.timing, payload_bytes, eng.bitrate_bps, eng.cca_us)
-        self.payload_bytes = payload_bytes
-        self.initial_energy_uj = initial_energy_uj
-        self.diag_m = area_m * math.sqrt(2.0)
+        self.geom = FrameGeometry(cfg)
+        self.initial_energy_uj = cfg.initial_energy_j * 1e6
+        self.diag_m = cfg.area_m * math.sqrt(2.0)
         self.member_ids = [nc.node_id for nc in nodes]
 
-        cx = cy = area_m / 2.0
+        cx = cy = cfg.area_m / 2.0
         self._dist = {
             nc.node_id: math.hypot(nc.x - cx, nc.y - cy) for nc in nodes
         }
 
-        n = max(self.member_ids) + 1
-        self._emq = [deque() for _ in range(n)]
-        self._nq = [deque() for _ in range(n)]
+        n = len(self._nq)
         self._em_retry = [0] * n
         self._nq_retry = [0] * n
-        self._rng = [substream(seed, i) for i in range(n)]
-        self._next_pid = 0
-        # Next scheduled arrival per node, for the empty-frame fast-forward;
-        # inf for the sink, and for the emergencies of non-detectors.
-        self._next_norm = [math.inf] * n
-        self._next_em = [math.inf] * n
+        self._rng = [substream(cfg.seed, i) for i in range(n)]
         # Members with a non-empty queue: the claimants of the next frame.
         self._holding = set()
         # Baseline accrued so far: each member's awake and asleep us, which
@@ -245,17 +201,6 @@ class FpsMac:
         self._settled_asleep = [0] * n
         self._sink_rx_us = 0
         self._sink_tx_us = 0
-
-        self._normal_profile = {}
-        self._emergency_profile = {}
-        for nc in nodes:
-            self._normal_profile[nc.node_id] = TrafficProfile(
-                NORMAL, normal_interval_us, nc.normal_phase_us
-            )
-            if nc.emergency:
-                self._emergency_profile[nc.node_id] = TrafficProfile(
-                    EMERGENCY, emergency_interval_us, nc.emergency_phase_us
-                )
 
         # Per-frame state; only one frame is in flight at a time.
         self._frame_t = 0
@@ -273,16 +218,7 @@ class FpsMac:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        for nc in self.nodes:
-            prof = self._normal_profile[nc.node_id]
-            self._next_norm[nc.node_id] = prof.phase_us
-            self.eng.schedule(prof.phase_us, nc.node_id, self._arrival_normal, nc.node_id)
-            eprof = self._emergency_profile.get(nc.node_id)
-            if eprof is not None:
-                self._next_em[nc.node_id] = eprof.phase_us
-                self.eng.schedule(
-                    eprof.phase_us, nc.node_id, self._arrival_emergency, nc.node_id
-                )
+        self.start_arrivals()
         self.eng.schedule(0, SINK, self._frame_start, None)
 
     def finish(self) -> None:
@@ -350,27 +286,8 @@ class FpsMac:
 
     # -- traffic --------------------------------------------------------
 
-    def _make_packet(self, node: int, klass: str) -> Packet:
-        p = Packet(self._next_pid, node, klass, self.eng.now, self.payload_bytes)
-        self._next_pid += 1
-        self.metrics.record_generated(p)
-        if self.eng.trace is not None:
-            self.eng.trace(self.eng.now, node, "arrival", f"class={klass} id={p.pid}")
-        return p
-
-    def _arrival_normal(self, node: int) -> None:
-        self._nq[node].append(self._make_packet(node, NORMAL))
+    def on_arrival(self, node: int, klass: str) -> None:
         self._holding.add(node)
-        t = next_arrival(self._normal_profile[node], self.eng.now)
-        self._next_norm[node] = t
-        self.eng.schedule(t, node, self._arrival_normal, node)
-
-    def _arrival_emergency(self, node: int) -> None:
-        self._emq[node].append(self._make_packet(node, EMERGENCY))
-        self._holding.add(node)
-        t = next_arrival(self._emergency_profile[node], self.eng.now)
-        self._next_em[node] = t
-        self.eng.schedule(t, node, self._arrival_emergency, node)
 
     # -- frame cycle ------------------------------------------------------
 
@@ -401,7 +318,7 @@ class FpsMac:
 
         transmitters = []
         for m in contenders:
-            if self._rng[m].random() < self.timing.eis_persistence:
+            if self._rng[m].random() < self.cfg.eis_persistence:
                 transmitters.append(m)
         self._transmitters = transmitters
         if contenders:
@@ -412,7 +329,7 @@ class FpsMac:
                 f"idx={self._frame_idx} contenders={len(contenders)} transmitters={len(transmitters)}",
             )
         if transmitters:
-            self.eng.schedule(f + self.geom.cca_us, SINK, self._eis_transmit, None)
+            self.eng.schedule(f + self.cfg.cca_us, SINK, self._eis_transmit, None)
         self.eng.schedule(f + self.geom.eis_len, SINK, self._control, None)
 
         nxt = f + self.geom.frame_len
@@ -443,12 +360,12 @@ class FpsMac:
             self.eng.schedule(nxt, SINK, self._frame_start, None)
 
     def _eis_transmit(self, _arg) -> None:
-        f = self._frame_t
-        g = self.geom
+        start = self._frame_t + self.cfg.cca_us
+        end = start + self.geom.ind_air
         for m in self._transmitters:
-            self._adjust(m, RX, TX, f + g.cca_us, f + g.cca_us + g.ind_air)
+            self._adjust(m, RX, TX, start, end)
             label = f" idx={self._frame_idx - 1}" if self.eng.trace is not None else ""
-            self.eng.begin_tx(m, self.timing.indication_bytes, self.IND, m, label)
+            self.eng.begin_tx(m, self.cfg.indication_bytes, self.IND, m, label)
 
     # -- transmission completions ----------------------------------------
 
@@ -474,13 +391,13 @@ class FpsMac:
         winner = tx.meta
         now = self.eng.now
         self._adjust(SINK, RX, TX, now, now + self.geom.ack_air)
-        self.eng.begin_tx(SINK, self.timing.ack_bytes, self.EIS_ACK, winner)
+        self.eng.begin_tx(SINK, self.cfg.ack_bytes, self.EIS_ACK, winner)
 
     def _on_eis_ack_end(self, tx, corrupted: bool) -> None:
         winner = tx.meta
         if corrupted:
             raise ProtocolBug("EIS ack collided inside its own window")
-        if self._rng[winner].random() < self.timing.ack_loss_p:
+        if self._rng[winner].random() < self.cfg.ack_loss_p:
             # Winner missed the ack: no mode switch, it re-contends next frame.
             self._eis_outcome = "ack-lost"
             return
@@ -500,8 +417,8 @@ class FpsMac:
         requests = {}
         for m, (ne, nn) in self._snapshot.items():
             total = ne + nn
-            if total > self.timing.slots_per_frame:
-                total = self.timing.slots_per_frame
+            if total > self.cfg.slots_per_frame:
+                total = self.cfg.slots_per_frame
             self._settle(m)
             residual = self.initial_energy_uj - self.ledger.energy_uj(m)
             requests[m] = SlotRequest(
@@ -510,7 +427,7 @@ class FpsMac:
             )
         frame = build_frame(
             f, idx, mode, requests, self.geom,
-            self.diag_m, self.initial_energy_uj, self.timing.slots_per_frame,
+            self.diag_m, self.initial_energy_uj, self.cfg.slots_per_frame,
         )
         if self.eng.trace is not None:
             slots = ",".join(f"{n}:{p}" for _, _, n, p in frame.data_slots)
@@ -519,7 +436,7 @@ class FpsMac:
                 f"idx={idx} start={f} mode={mode} eis={self._eis_outcome} slots=[{slots}]",
             )
         label = f" idx={idx}" if self.eng.trace is not None else ""
-        self.eng.begin_tx(SINK, self.timing.schedule_bytes, self.SCHED, frame, label)
+        self.eng.begin_tx(SINK, self.cfg.schedule_bytes, self.SCHED, frame, label)
 
     def _on_sched_end(self, tx, corrupted: bool) -> None:
         if corrupted:
@@ -546,7 +463,7 @@ class FpsMac:
         )
         self.eng.begin_tx(
             node,
-            packet.payload_bytes + self.timing.header_bytes,
+            packet.payload_bytes + self.cfg.header_bytes,
             self.DATA,
             (node, purpose, packet, slot_i),
             label,
@@ -560,7 +477,7 @@ class FpsMac:
         self._adjust(SINK, RX, TX, now, now + self.geom.ack_air)
         label = f" to={node} id={packet.pid}" if self.eng.trace is not None else ""
         self.eng.begin_tx(
-            SINK, self.timing.ack_bytes, self.ACK, (node, purpose, packet, slot_i), label
+            SINK, self.cfg.ack_bytes, self.ACK, (node, purpose, packet, slot_i), label
         )
 
     def _on_ack_end(self, tx, corrupted: bool) -> None:
@@ -568,7 +485,7 @@ class FpsMac:
             raise ProtocolBug("slot ack collided inside its own slot")
         node, purpose, packet, slot_i = tx.meta
         now = self.eng.now
-        if self._rng[node].random() < self.timing.ack_loss_p:
+        if self._rng[node].random() < self.cfg.ack_loss_p:
             # Receiver missed the ack; the packet stays queued for the next frame.
             if self.eng.trace is not None:
                 self.eng.trace(now, node, "ack-lost", f"id={packet.pid}")
@@ -600,7 +517,7 @@ class FpsMac:
     def _bump_retry(self, node: int, klass: str) -> None:
         if klass == EMERGENCY:
             self._em_retry[node] += 1
-            if self._em_retry[node] > self.timing.max_retry_frames:
+            if self._em_retry[node] > self.cfg.fps_max_retry_frames:
                 self._em_retry[node] = 0
                 packet = self._emq[node].popleft()
                 self._release(node)
@@ -611,7 +528,7 @@ class FpsMac:
                     )
         else:
             self._nq_retry[node] += 1
-            if self._nq_retry[node] > self.timing.max_retry_frames:
+            if self._nq_retry[node] > self.cfg.fps_max_retry_frames:
                 self._nq_retry[node] = 0
                 packet = self._nq[node].popleft()
                 self._release(node)

@@ -8,64 +8,21 @@ can never cut into someone else's gap. Emergency packets go out whole.
 
 The sink (node 0) acknowledges every clean frame; a sender that misses an
 ack retries the same frame after re-contending, and drops the packet
-after max_retries consecutive failures.
+after frog_max_retries consecutive failures.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+from .config import SimConfig
 from .engine import SINK, Engine, substream, tx_duration_us
 from .metrics import IDLE, RX, TX, EnergyLedger, MetricsCollector
-from .traffic import (
-    EMERGENCY,
-    NORMAL,
-    NodeConfig,
-    Packet,
-    TrafficProfile,
-    next_arrival,
-)
+from .traffic import EMERGENCY, NORMAL, ArrivalProcess, NodeConfig, Packet
 
 # `_pending` of a sender whose clean frame the sink is acking. No timeout is
 # queued for it: a clean ack ends the wait, a corrupted one queues the timeout.
 ACK_DUE = -1
-
-
-@dataclass
-class FrogTiming:
-    ifs_high_us: int = 192
-    ifs_low_us: int = 1000
-    fragment_gap_us: int = 800
-    backoff_unit_us: int = 160
-    backoff_slots_high: int = 4  # emergency draws uniform {0..3} units
-    backoff_slots_low: int = 8  # low priority draws uniform {0..7} units
-    ack_bytes: int = 11
-    header_bytes: int = 5
-    max_retries: int = 8
-    ack_slack_us: int = 64  # grace past the expected ack end before a retry
-
-    def validate(self) -> None:
-        # Spacings are waits, so none may be negative; a backoff draws from
-        # range(slots), which must not be empty.
-        for name in ("ifs_high_us", "ifs_low_us", "fragment_gap_us", "backoff_unit_us",
-                     "ack_slack_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("backoff_slots_high", "backoff_slots_low"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        worst_high = self.ifs_high_us + (self.backoff_slots_high - 1) * self.backoff_unit_us
-        if worst_high >= self.fragment_gap_us:
-            raise ValueError(
-                "emergency contention (ifs_high + max backoff = "
-                f"{worst_high} us) must finish inside the {self.fragment_gap_us} us gap"
-            )
-        if self.ifs_low_us <= self.fragment_gap_us:
-            raise ValueError(
-                "low-priority IFS must outlast the inter-fragment gap, got "
-                f"{self.ifs_low_us} <= {self.fragment_gap_us}"
-            )
 
 
 @dataclass(slots=True)
@@ -77,7 +34,9 @@ class Fragment:
     header_bytes: int
 
 
-def fragment(packet: Packet, fragment_size: int, header_bytes: int = 5) -> list[Fragment]:
+def fragment(
+    packet: Packet, fragment_size: int, header_bytes: int = SimConfig.header_bytes
+) -> list[Fragment]:
     """Split a packet's payload into fragments; only the last may run short."""
     if packet.klass == EMERGENCY:
         raise ValueError("emergency packets are sent whole, never fragmented")
@@ -93,16 +52,6 @@ def fragment(packet: Packet, fragment_size: int, header_bytes: int = 5) -> list[
         remaining -= size
         out.append(Fragment(packet.pid, i, count, size, header_bytes))
     return out
-
-
-def airtime_overhead(packet: Packet, fragment_size: int, header_bytes: int = 5) -> int:
-    """Total bytes on air for one packet at a given fragment size."""
-    if not 1 <= fragment_size <= packet.payload_bytes:
-        raise ValueError(
-            f"fragment_size must be in [1, {packet.payload_bytes}], got {fragment_size}"
-        )
-    count = -(-packet.payload_bytes // fragment_size)
-    return packet.payload_bytes + count * header_bytes
 
 
 class SinkReassembler:
@@ -133,7 +82,7 @@ class SinkReassembler:
         return st[2] if st is not None else 0
 
 
-class FrogMac:
+class FrogMac(ArrivalProcess):
     """Event-driven implementation over the shared engine.
 
     One instance owns every node's state; radio visibility is still
@@ -151,30 +100,15 @@ class FrogMac:
         nodes: list[NodeConfig],
         metrics: MetricsCollector,
         ledger: EnergyLedger,
-        seed: int,
-        fragment_size: int,
-        timing: FrogTiming | None = None,
-        payload_bytes: int = 34,
-        normal_interval_us: int = 10_000_000,
-        emergency_interval_us: int = 120_000_000,
+        cfg: SimConfig,
     ):
-        timing = timing or FrogTiming()
-        timing.validate()
-        if not 1 <= fragment_size <= payload_bytes:
-            raise ValueError(f"fragment_size must be in [1, {payload_bytes}]")
-        self.eng = eng
-        self.nodes = nodes
-        self.metrics = metrics
+        super().__init__(eng, nodes, metrics, cfg)
         self.ledger = ledger
-        self.timing = timing
-        self.fragment_size = fragment_size
-        self.payload_bytes = payload_bytes
-        self.ack_air_us = tx_duration_us(timing.ack_bytes, eng.bitrate_bps)
+        self.fragment_size = cfg.resolved_fragment_size()
+        self.ack_air_us = tx_duration_us(cfg.ack_bytes, eng.bitrate_bps)
         self.reassembler = SinkReassembler()
 
-        n = max(nc.node_id for nc in nodes) + 1
-        self._emq = [deque() for _ in range(n)]
-        self._nq = [deque() for _ in range(n)]
+        n = len(self._nq)
         self._frags = [None] * n
         self._frag_idx = [0] * n
         self._retry_key = [None] * n
@@ -186,19 +120,7 @@ class FrogMac:
         self._intx = [False] * n
         self._state = [IDLE] * n
         self._since = [0] * n
-        self._rng = [substream(seed, i) for i in range(n)]
-        self._next_pid = 0
-
-        self._normal_profile = {}
-        self._emergency_profile = {}
-        for nc in nodes:
-            self._normal_profile[nc.node_id] = TrafficProfile(
-                NORMAL, normal_interval_us, nc.normal_phase_us
-            )
-            if nc.emergency:
-                self._emergency_profile[nc.node_id] = TrafficProfile(
-                    EMERGENCY, emergency_interval_us, nc.emergency_phase_us
-                )
+        self._rng = [substream(cfg.seed, i) for i in range(n)]
 
         eng.add_end_listener(self._on_tx_end)
 
@@ -206,12 +128,7 @@ class FrogMac:
 
     def start(self) -> None:
         self._state[SINK] = RX  # the sink listens for the whole run
-        for nc in self.nodes:
-            prof = self._normal_profile[nc.node_id]
-            self.eng.schedule(prof.phase_us, nc.node_id, self._arrival_normal, nc.node_id)
-            eprof = self._emergency_profile.get(nc.node_id)
-            if eprof is not None:
-                self.eng.schedule(eprof.phase_us, nc.node_id, self._arrival_emergency, nc.node_id)
+        self.start_arrivals()
 
     def finish(self) -> None:
         """Flush open energy spans up to the simulation end."""
@@ -234,35 +151,15 @@ class FrogMac:
     def _engaged(self, node: int) -> bool:
         return self._pending[node] is not None or self._intx[node]
 
-    def _make_packet(self, node: int, klass: str) -> Packet:
-        p = Packet(self._next_pid, node, klass, self.eng.now, self.payload_bytes)
-        self._next_pid += 1
-        self.metrics.record_generated(p)
-        if self.eng.trace is not None:
-            self.eng.trace(self.eng.now, node, "arrival", f"class={klass} id={p.pid}")
-        return p
-
     # -- traffic --------------------------------------------------------
 
-    def _arrival_normal(self, node: int) -> None:
-        p = self._make_packet(node, NORMAL)
-        self._nq[node].append(p)
-        prof = self._normal_profile[node]
-        self.eng.schedule(next_arrival(prof, self.eng.now), node, self._arrival_normal, node)
-        if not self._engaged(node):
-            self._set_state(node, RX)
-            self._start_attempt(node, self.eng.now)
-
-    def _arrival_emergency(self, node: int) -> None:
-        p = self._make_packet(node, EMERGENCY)
-        self._emq[node].append(p)
-        prof = self._emergency_profile[node]
-        self.eng.schedule(next_arrival(prof, self.eng.now), node, self._arrival_emergency, node)
+    def on_arrival(self, node: int, klass: str) -> None:
         if not self._engaged(node):
             self._set_state(node, RX)
             self._start_attempt(node, self.eng.now)
         elif (
-            self._pending[node] is not None
+            klass == EMERGENCY
+            and self._pending[node] is not None
             and self._attempt_class[node] == NORMAL
             and self._pending_kind[node] in ("sense", "txwait")
         ):
@@ -277,13 +174,13 @@ class FrogMac:
     def _start_attempt(self, node: int, at: int) -> None:
         if self._emq[node]:
             klass = EMERGENCY
-            ifs = self.timing.ifs_high_us
+            ifs = self.cfg.ifs_high_us
         else:
             klass = NORMAL
-            ifs = self.timing.ifs_low_us
+            ifs = self.cfg.ifs_low_us
             if self._frags[node] is None:
                 self._frags[node] = fragment(
-                    self._nq[node][0], self.fragment_size, self.timing.header_bytes
+                    self._nq[node][0], self.fragment_size, self.cfg.header_bytes
                 )
                 self._frag_idx[node] = 0
         self._attempt_class[node] = klass
@@ -298,10 +195,10 @@ class FrogMac:
             self._defer(node)
             return
         if self._attempt_class[node] == EMERGENCY:
-            slots = self.timing.backoff_slots_high
+            slots = self.cfg.backoff_slots_high
         else:
-            slots = self.timing.backoff_slots_low
-        backoff = self._rng[node].randrange(slots) * self.timing.backoff_unit_us
+            slots = self.cfg.backoff_slots_low
+        backoff = self._rng[node].randrange(slots) * self.cfg.backoff_unit_us
         self._pending[node] = eng.schedule(eng.now + backoff, node, self._tx_start, node)
         self._pending_kind[node] = "txwait"
 
@@ -315,10 +212,10 @@ class FrogMac:
         if eng.channel.busy_at(eng.now):
             self._defer(node)  # someone else started during our backoff
             return
-        t = self.timing
+        cfg = self.cfg
         if self._attempt_class[node] == EMERGENCY:
             packet = self._emq[node][0]
-            nbytes = packet.payload_bytes + t.header_bytes
+            nbytes = packet.payload_bytes + cfg.header_bytes
             kind = self.DATA_WHOLE
             meta = (packet, -1, None)
             label = f" id={packet.pid}" if eng.trace is not None else ""
@@ -351,7 +248,7 @@ class FrogMac:
             else:
                 # The target misses its ack; it times out ack_slack_us later.
                 self._pending[target] = self.eng.schedule(
-                    self.eng.now + self.timing.ack_slack_us,
+                    self.eng.now + self.cfg.ack_slack_us,
                     target,
                     self._ack_timeout,
                     (target, packet, idx),
@@ -368,7 +265,7 @@ class FrogMac:
         if corrupted:
             # No ack will come: time out ack_slack_us after it would have ended.
             self._pending[node] = self.eng.schedule(
-                tx.end + self.ack_air_us + self.timing.ack_slack_us,
+                tx.end + self.ack_air_us + self.cfg.ack_slack_us,
                 node,
                 self._ack_timeout,
                 (node, packet, idx),
@@ -390,7 +287,7 @@ class FrogMac:
         self._set_state(SINK, TX)
         self._intx[SINK] = True
         label = f" to={target} id={packet.pid}" if eng.trace is not None else ""
-        eng.begin_tx(SINK, self.timing.ack_bytes, self.ACK, (target, final, packet, idx), label)
+        eng.begin_tx(SINK, self.cfg.ack_bytes, self.ACK, (target, final, packet, idx), label)
 
     def _ack_received(self, node: int, final: bool, packet: Packet, idx: int) -> None:
         self._pending[node] = None
@@ -412,7 +309,7 @@ class FrogMac:
                 self.eng.trace(now, node, "delivery", f"id={packet.pid} class={NORMAL} delay={now - packet.gen_time}")
         else:
             self._frag_idx[node] = idx + 1
-            self._start_attempt(node, now + self.timing.fragment_gap_us)
+            self._start_attempt(node, now + self.cfg.fragment_gap_us)
             return
         if self._emq[node] or self._nq[node]:
             self._start_attempt(node, now)
@@ -429,7 +326,7 @@ class FrogMac:
         else:
             self._retry_key[node] = key
             self._retries[node] = 1
-        if self._retries[node] > self.timing.max_retries:
+        if self._retries[node] > self.cfg.frog_max_retries:
             self._retry_key[node] = None
             self._retries[node] = 0
             if packet.klass == EMERGENCY:

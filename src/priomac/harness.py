@@ -16,9 +16,9 @@ import statistics
 
 from .config import SimConfig
 from .engine import SINK, Engine
-from .fps import FpsMac, FpsTiming
-from .frog import FrogMac, FrogTiming
-from .metrics import EnergyLedger, MetricsCollector, PowerModel, RunReport
+from .fps import FpsMac
+from .frog import FrogMac
+from .metrics import EnergyLedger, MetricsCollector, RunReport
 from .traffic import EMERGENCY, NORMAL, build_population
 
 # Experiment presets. fig4 crosses fragment size with detector count for
@@ -44,52 +44,13 @@ CSV_COLUMNS = (
 
 
 def build_protocol(cfg: SimConfig, eng: Engine, nodes, metrics, ledger):
-    if cfg.protocol == "frog":
-        timing = FrogTiming(
-            ifs_high_us=cfg.ifs_high_us,
-            ifs_low_us=cfg.ifs_low_us,
-            fragment_gap_us=cfg.fragment_gap_us,
-            backoff_unit_us=cfg.backoff_unit_us,
-            backoff_slots_high=cfg.backoff_slots_high,
-            backoff_slots_low=cfg.backoff_slots_low,
-            ack_bytes=cfg.ack_bytes,
-            header_bytes=cfg.header_bytes,
-            max_retries=cfg.frog_max_retries,
-            ack_slack_us=cfg.ack_slack_us,
-        )
-        return FrogMac(
-            eng, nodes, metrics, ledger, cfg.seed,
-            fragment_size=cfg.resolved_fragment_size(),
-            timing=timing,
-            payload_bytes=cfg.payload_bytes,
-            normal_interval_us=cfg.normal_interval_us,
-            emergency_interval_us=cfg.emergency_interval_us,
-        )
-    timing = FpsTiming(
-        slots_per_frame=cfg.slots_per_frame,
-        slot_guard_us=cfg.slot_guard_us,
-        indication_bytes=cfg.indication_bytes,
-        schedule_bytes=cfg.schedule_bytes,
-        ack_bytes=cfg.ack_bytes,
-        header_bytes=cfg.header_bytes,
-        eis_persistence=cfg.eis_persistence,
-        ack_loss_p=cfg.ack_loss_p,
-        max_retry_frames=cfg.fps_max_retry_frames,
-    )
-    return FpsMac(
-        eng, nodes, metrics, ledger, cfg.seed,
-        timing=timing,
-        payload_bytes=cfg.payload_bytes,
-        normal_interval_us=cfg.normal_interval_us,
-        emergency_interval_us=cfg.emergency_interval_us,
-        initial_energy_uj=cfg.initial_energy_j * 1e6,
-        area_m=cfg.area_m,
-    )
+    mac = FrogMac if cfg.protocol == "frog" else FpsMac
+    return mac(eng, nodes, metrics, ledger, cfg)
 
 
 def run_once(cfg: SimConfig, trace=None) -> RunReport:
     cfg.validate()
-    eng = Engine(cfg.duration_us, cfg.bitrate_bps, cfg.cca_us, trace)
+    eng = Engine(cfg.duration_us, cfg.bitrate_bps, trace)
     nodes = build_population(
         cfg.n_nodes, cfg.n_emergency, cfg.seed,
         area_m=cfg.area_m,
@@ -97,8 +58,7 @@ def run_once(cfg: SimConfig, trace=None) -> RunReport:
         emergency_interval_us=cfg.emergency_interval_us,
     )
     metrics = MetricsCollector()
-    power = PowerModel(cfg.p_tx_mw, cfg.p_rx_mw, cfg.p_idle_mw, cfg.p_sleep_mw)
-    ledger = EnergyLedger([SINK] + [nc.node_id for nc in nodes], power)
+    ledger = EnergyLedger([SINK] + [nc.node_id for nc in nodes], cfg.power_mw)
     proto = build_protocol(cfg, eng, nodes, metrics, ledger)
     proto.start()
     eng.run()

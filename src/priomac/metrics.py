@@ -11,27 +11,16 @@ TX, RX, IDLE, SLEEP = 0, 1, 2, 3
 STATE_NAMES = ("tx", "rx", "idle", "sleep")
 
 
-@dataclass
-class PowerModel:
-    """Draw per radio state, milliwatts. Defaults are CC2420-class figures."""
-
-    p_tx_mw: float = 52.2
-    p_rx_mw: float = 59.1
-    p_idle_mw: float = 1.28
-    p_sleep_mw: float = 0.02
-
-    def as_tuple(self):
-        return (self.p_tx_mw, self.p_rx_mw, self.p_idle_mw, self.p_sleep_mw)
-
-
 class EnergyLedger:
     """Accumulates microseconds per radio state per node.
 
     Durations stay integers so the per-node total closes exactly on the
-    run duration; energy converts on read (mW * us / 1000 = uJ).
+    run duration; energy converts on read (mW * us / 1000 = uJ). `power`
+    is the draw per state in mW, in (TX, RX, IDLE, SLEEP) order, as
+    SimConfig.power_mw gives it.
     """
 
-    def __init__(self, node_ids, power: PowerModel):
+    def __init__(self, node_ids, power: tuple[float, float, float, float]):
         self.power = power
         self._us = {n: [0, 0, 0, 0] for n in node_ids}
 
@@ -52,7 +41,7 @@ class EnergyLedger:
         return tuple(self._us[node])
 
     def energy_uj(self, node: int) -> float:
-        p = self.power.as_tuple()
+        p = self.power
         spans = self._us[node]
         return (
             spans[0] * p[0] + spans[1] * p[1] + spans[2] * p[2] + spans[3] * p[3]

@@ -1,4 +1,5 @@
-"""Two-class periodic traffic over a star topology.
+"""Two-class periodic traffic over a star topology, and the arrival
+process both MACs share.
 
 Every member node reports monitoring data on a fixed interval; a chosen
 subset additionally raises emergency events on a longer interval. Each
@@ -10,17 +11,18 @@ the existing ones).
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 
-from .engine import PHASE_STREAM_OFFSET, POPULATION_STREAM, substream
+from .config import SimConfig
+from .engine import PHASE_STREAM_OFFSET, POPULATION_STREAM, Engine, substream
 
 NORMAL = "NORMAL"
 EMERGENCY = "EMERGENCY"
 CLASSES = (EMERGENCY, NORMAL)
 
-NORMAL_INTERVAL_US = 10_000_000
-EMERGENCY_INTERVAL_US = 120_000_000
-DEFAULT_PAYLOAD_BYTES = 34
+_DEFAULT = SimConfig()
 
 
 @dataclass(slots=True)
@@ -29,7 +31,7 @@ class Packet:
     src: int
     klass: str
     gen_time: int
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES
+    payload_bytes: int
 
 
 @dataclass(slots=True)
@@ -61,9 +63,9 @@ def build_population(
     n_total: int,
     n_emergency: int,
     seed: int,
-    area_m: float = 50.0,
-    normal_interval_us: int = NORMAL_INTERVAL_US,
-    emergency_interval_us: int = EMERGENCY_INTERVAL_US,
+    area_m: float = _DEFAULT.area_m,
+    normal_interval_us: int = _DEFAULT.normal_interval_us,
+    emergency_interval_us: int = _DEFAULT.emergency_interval_us,
 ) -> list[NodeConfig]:
     """Place member nodes uniformly in the square and pick emergency senders.
 
@@ -101,3 +103,71 @@ def build_population(
             )
         )
     return nodes
+
+
+class ArrivalProcess:
+    """Both classes' packet arrivals at every member, queued per node.
+
+    A MAC subclasses it and implements on_arrival(node, klass), which runs
+    once the new packet is queued and the node's next arrival of that class
+    is scheduled. Arrival events belong to the arriving node.
+    """
+
+    def __init__(self, eng: Engine, nodes: list[NodeConfig], metrics, cfg: SimConfig):
+        self.eng = eng
+        self.nodes = nodes
+        self.metrics = metrics
+        self.cfg = cfg
+        self._next_pid = 0
+        n = max(nc.node_id for nc in nodes) + 1
+        self._emq = [deque() for _ in range(n)]
+        self._nq = [deque() for _ in range(n)]
+        # Next scheduled arrival per node; inf for the sink, and for the
+        # emergencies of non-detectors.
+        self._next_norm = [math.inf] * n
+        self._next_em = [math.inf] * n
+        self._normal_profile = {}
+        self._emergency_profile = {}
+        for nc in nodes:
+            self._normal_profile[nc.node_id] = TrafficProfile(
+                NORMAL, cfg.normal_interval_us, nc.normal_phase_us
+            )
+            if nc.emergency:
+                self._emergency_profile[nc.node_id] = TrafficProfile(
+                    EMERGENCY, cfg.emergency_interval_us, nc.emergency_phase_us
+                )
+
+    def on_arrival(self, node: int, klass: str) -> None:
+        raise NotImplementedError
+
+    def start_arrivals(self) -> None:
+        """Schedule every flow's first arrival, node by node."""
+        for nc in self.nodes:
+            node = nc.node_id
+            t = self._next_norm[node] = self._normal_profile[node].phase_us
+            self.eng.schedule(t, node, self._arrival_normal, node)
+            eprof = self._emergency_profile.get(node)
+            if eprof is not None:
+                t = self._next_em[node] = eprof.phase_us
+                self.eng.schedule(t, node, self._arrival_emergency, node)
+
+    def _make_packet(self, node: int, klass: str) -> Packet:
+        eng = self.eng
+        p = Packet(self._next_pid, node, klass, eng.now, self.cfg.payload_bytes)
+        self._next_pid += 1
+        self.metrics.record_generated(p)
+        if eng.trace is not None:
+            eng.trace(eng.now, node, "arrival", f"class={klass} id={p.pid}")
+        return p
+
+    def _arrival_normal(self, node: int) -> None:
+        self._nq[node].append(self._make_packet(node, NORMAL))
+        t = self._next_norm[node] = next_arrival(self._normal_profile[node], self.eng.now)
+        self.eng.schedule(t, node, self._arrival_normal, node)
+        self.on_arrival(node, NORMAL)
+
+    def _arrival_emergency(self, node: int) -> None:
+        self._emq[node].append(self._make_packet(node, EMERGENCY))
+        t = self._next_em[node] = next_arrival(self._emergency_profile[node], self.eng.now)
+        self.eng.schedule(t, node, self._arrival_emergency, node)
+        self.on_arrival(node, EMERGENCY)

@@ -23,7 +23,7 @@ import pytest
 from _mamdani_ref import reference_core
 from priomac.config import SimConfig
 from priomac.engine import SINK, Engine, tx_duration_us
-from priomac.frog import FrogMac, FrogTiming, SinkReassembler, fragment
+from priomac.frog import FrogMac, SinkReassembler, fragment
 from priomac.fuzzy import fuzzy_core, priority_score
 from priomac.harness import (
     EMERGENCY_COUNTS,
@@ -33,7 +33,7 @@ from priomac.harness import (
     run_once,
     run_sweep,
 )
-from priomac.metrics import EnergyLedger, MetricsCollector, PowerModel
+from priomac.metrics import EnergyLedger, MetricsCollector
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet, build_population
 
 SEEDS = range(1, 11)
@@ -170,11 +170,10 @@ def emergency_delays_by_source(cfg):
     Returns the run's detector ids and {detector id: [delay_us, ...]}.
     """
     cfg.validate()
-    eng = Engine(cfg.duration_us, cfg.bitrate_bps, cfg.cca_us)
+    eng = Engine(cfg.duration_us, cfg.bitrate_bps)
     nodes = population(cfg, cfg.n_emergency)
     metrics = EmergencyDelaysBySource()
-    power = PowerModel(cfg.p_tx_mw, cfg.p_rx_mw, cfg.p_idle_mw, cfg.p_sleep_mw)
-    ledger = EnergyLedger([SINK] + [nc.node_id for nc in nodes], power)
+    ledger = EnergyLedger([SINK] + [nc.node_id for nc in nodes], cfg.power_mw)
     proto = build_protocol(cfg, eng, nodes, metrics, ledger)
     proto.start()
     eng.run()
@@ -299,12 +298,9 @@ def preemption_trace(fs, seed):
     rec = []
     eng = Engine(duration_us=60_000, trace=lambda t, n, k, d: rec.append((t, n, k, d)))
     metrics = MetricsCollector()
-    ledger = EnergyLedger([SINK, 1, 2], PowerModel())
-    FrogMac(
-        eng, nodes, metrics, ledger, seed=seed, fragment_size=fs,
-        timing=FrogTiming(), payload_bytes=34,
-        normal_interval_us=10_000_000, emergency_interval_us=120_000_000,
-    ).start()
+    cfg = SimConfig(seed=seed, fragment_size=fs)
+    ledger = EnergyLedger([SINK, 1, 2], cfg.power_mw)
+    FrogMac(eng, nodes, metrics, ledger, cfg).start()
     eng.run()
     return em_at, rec, metrics.summarize(ledger, 60_000)
 

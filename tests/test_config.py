@@ -80,6 +80,21 @@ def test_validate_rejects_bad_ranges():
     ):
         with pytest.raises(ValueError):
             SimConfig(**kwargs).validate()
+    # ... and each of these refusals names the setting at fault
+    for name, kwargs in (
+        ("p_tx_mw", {"p_tx_mw": float("nan")}),
+        ("p_rx_mw", {"p_rx_mw": float("inf")}),
+        ("initial_energy_j", {"protocol": "fps", "initial_energy_j": float("nan")}),
+        ("initial_energy_j", {"protocol": "fps", "initial_energy_j": float("inf")}),
+        ("header_bytes", {"header_bytes": -30}),
+        ("frog_max_retries", {"frog_max_retries": -1}),
+        ("fps_max_retry_frames", {"fps_max_retry_frames": -1}),
+        ("ack_bytes", {"ack_bytes": 0}),
+        ("indication_bytes", {"indication_bytes": 0}),
+        ("slot_guard_us", {"protocol": "fps", "slot_guard_us": 10}),
+    ):
+        with pytest.raises(ValueError, match=name):
+            SimConfig(**kwargs).validate()
 
 
 def test_defaults_validate():

@@ -169,7 +169,7 @@ def test_carrier_sense_sees_active_and_recent_transmissions():
     readings = {}
     eng.schedule(100, 1, lambda _: eng.begin_tx(1, 11, "a"))  # [100, 452)
     def probe(tag):
-        readings[tag] = eng.carrier_sense(128)
+        readings[tag] = eng.channel.busy_in(eng.now - 128, eng.now)
     eng.schedule(300, 2, probe, "mid-tx")          # window (172, 300) overlaps
     eng.schedule(500, 2, probe, "tail-in-window")  # window (372, 500) overlaps
     eng.schedule(580, 2, probe, "just-clear")      # window (452, 580) starts at tx end

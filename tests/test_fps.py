@@ -4,10 +4,10 @@ import pytest
 
 import priomac.fps
 from priomac._pykernels import EventQueue
+from priomac.config import SimConfig
 from priomac.engine import SINK, Engine
 from priomac.fps import (
     FpsMac,
-    FpsTiming,
     FrameGeometry,
     FuzzyInputs,
     MODE_EMERGENCY,
@@ -16,13 +16,13 @@ from priomac.fps import (
     build_frame,
 )
 from priomac.fuzzy import priority_score
-from priomac.metrics import EnergyLedger, MetricsCollector, PowerModel
+from priomac.metrics import EnergyLedger, MetricsCollector
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, build_population
 
 
 # -- frame geometry ----------------------------------------------------------
 
-GEOM = FrameGeometry(FpsTiming(), payload_bytes=34, bitrate_bps=250_000, cca_us=128)
+GEOM = FrameGeometry(SimConfig(protocol="fps"))
 
 
 def test_frame_geometry_oracle():
@@ -46,7 +46,7 @@ def test_slot_spans_tile_the_data_region():
 
 def test_guard_must_cover_a_cca():
     with pytest.raises(ValueError):
-        FrameGeometry(FpsTiming(slot_guard_us=100), 34, 250_000, 128)
+        SimConfig(protocol="fps", slot_guard_us=100).validate()
 
 
 # -- slot assignment ---------------------------------------------------------
@@ -83,8 +83,6 @@ def test_slot_spans_come_from_the_geometry():
     f = frame(MODE_PERIODIC, {1: req(queued=1)}, start=55_568)
     s, e, node, _ = f.data_slots[0]
     assert (s, e) == GEOM.slot_span(55_568, 0)
-    assert f.eis == (55_568, 55_568 + GEOM.eis_len)
-    assert f.control == (55_568 + GEOM.eis_len, 55_568 + GEOM.data_offset)
 
 
 def test_emergency_claimant_takes_the_first_slot():
@@ -137,30 +135,21 @@ SLOT0_DELIVERY = FRAME + 3568 + 1248 + 352  # ack end of data slot 0, frame 1
 
 
 def make_fps(nodes, duration_us, seed=1, trace=None, normal_interval_us=10_000_000,
-             **timing_kwargs):
+             **cfg_kwargs):
     eng = Engine(duration_us=duration_us, trace=trace)
     metrics = MetricsCollector()
-    ledger = EnergyLedger([SINK] + [n.node_id for n in nodes], PowerModel())
-    mac = FpsMac(
-        eng,
-        nodes,
-        metrics,
-        ledger,
-        seed=seed,
-        timing=FpsTiming(**timing_kwargs),
-        payload_bytes=34,
-        normal_interval_us=normal_interval_us,
-        emergency_interval_us=120_000_000,
-        initial_energy_uj=50e6,
-    )
+    cfg = SimConfig(protocol="fps", seed=seed, normal_interval_s=normal_interval_us / 1e6,
+                    **cfg_kwargs)
+    ledger = EnergyLedger([SINK] + [n.node_id for n in nodes], cfg.power_mw)
+    mac = FpsMac(eng, nodes, metrics, ledger, cfg)
     return eng, mac, metrics, ledger
 
 
-def run_fps(nodes, duration_us, seed=1, **timing_kwargs):
+def run_fps(nodes, duration_us, seed=1, **cfg_kwargs):
     rec = []
     eng, mac, metrics, ledger = make_fps(
         nodes, duration_us, seed=seed,
-        trace=lambda t, n, k, d: rec.append((t, n, k, d)), **timing_kwargs
+        trace=lambda t, n, k, d: rec.append((t, n, k, d)), **cfg_kwargs
     )
     mac.start()
     eng.run()
@@ -199,7 +188,7 @@ def test_eis_collision_defers_both_contenders():
     ]
     # Always-transmit persistence deadlocks the pair; the retry cap bounds it.
     rep, rec, _ = run_fps(
-        nodes, 7 * FRAME, eis_persistence=1.0, max_retry_frames=4
+        nodes, 7 * FRAME, eis_persistence=1.0, fps_max_retry_frames=4
     )
     es = rep.classes[EMERGENCY]
     assert (es.delivered, es.dropped) == (0, 2)
@@ -222,7 +211,7 @@ def test_eis_contenders_transmit_in_node_id_order():
 def test_lost_eis_ack_retries_next_frame():
     node = member(2, emergency=True, em_phase=1000)
     rep, rec, _ = run_fps(
-        [node], 6 * FRAME, eis_persistence=1.0, ack_loss_p=1.0, max_retry_frames=3
+        [node], 6 * FRAME, eis_persistence=1.0, ack_loss_p=1.0, fps_max_retry_frames=3
     )
     es = rep.classes[EMERGENCY]
     assert (es.delivered, es.dropped) == (0, 1)
@@ -234,7 +223,7 @@ def test_lost_slot_ack_requeues_without_resetting_the_clock():
     # Every data ack is lost; the packet occupies one slot per frame until
     # the retry budget runs out, and the delay ledger never forgets it.
     rep, rec, _ = run_fps(
-        [member(1, normal_phase=1000)], 6 * FRAME, ack_loss_p=1.0, max_retry_frames=2
+        [member(1, normal_phase=1000)], 6 * FRAME, ack_loss_p=1.0, fps_max_retry_frames=2
     )
     ns = rep.classes[NORMAL]
     assert (ns.delivered, ns.dropped) == (0, 1)
@@ -266,8 +255,8 @@ def test_trace_does_not_change_the_outcome():
     assert rep_plain == rep_traced
 
 
-def run_untraced(nodes, duration_us, seed=1, **timing_kwargs):
-    eng, mac, metrics, ledger = make_fps(nodes, duration_us, seed=seed, **timing_kwargs)
+def run_untraced(nodes, duration_us, seed=1, **cfg_kwargs):
+    eng, mac, metrics, ledger = make_fps(nodes, duration_us, seed=seed, **cfg_kwargs)
     mac.start()
     eng.run()
     mac.finish()
@@ -324,7 +313,7 @@ def member_outcomes(rec, node):
 def test_a_detectors_ack_losses_leave_other_members_alone(seed):
     # Member 2 contends alone with persistence 1, so every frame it spends
     # draws at least one ack-loss outcome; its emergency is settled (delivered or
-    # dropped within max_retry_frames + 1 frames) before member 1's first
+    # dropped within fps_max_retry_frames + 1 frames) before member 1's first
     # arrival, so the two never share a frame. Whether member 2 is a
     # detector must then not change a single ack outcome of member 1.
     quiet = 2000 * FRAME  # past the run: member 2 sends no normal traffic
@@ -334,7 +323,7 @@ def test_a_detectors_ack_losses_leave_other_members_alone(seed):
         nodes = [member(1, normal_phase=first_normal),
                  member(2, emergency=detector, normal_phase=quiet, em_phase=1000)]
         _, rec, _ = run_fps(nodes, 1900 * FRAME, seed=seed,
-                            eis_persistence=1.0, ack_loss_p=0.5, max_retry_frames=3)
+                            eis_persistence=1.0, ack_loss_p=0.5, fps_max_retry_frames=3)
         runs[detector] = rec
     settled = [t for t, n, k, _ in runs[True] if n == 2 and k in ("delivery", "drop")]
     assert len(settled) == 1 and settled[0] < first_normal
@@ -372,7 +361,7 @@ def test_holding_set_is_the_members_with_queued_packets(traffic, seed, traced):
     trace = (lambda *_: None) if traced else None
     eng, mac, metrics, ledger = make_fps(
         nodes, duration, seed=seed, trace=trace, normal_interval_us=interval,
-        ack_loss_p=0.5, max_retry_frames=3,
+        ack_loss_p=0.5, fps_max_retry_frames=3,
     )
     sizes = set()
 
@@ -409,7 +398,7 @@ def oracle_residual(geom, power, initial, duration, txs, m, start, now):
     tx = n_ind * geom.ind_air + n_data * geom.data_air
     rx = awake - n_ind * geom.ind_air + n_data * geom.ack_air
     sleep = asleep - n_data * (geom.data_air + geom.ack_air)
-    p = power.as_tuple()
+    p = power
     return initial - (tx * p[0] + rx * p[1] + 0 * p[2] + sleep * p[3]) / 1000.0
 
 

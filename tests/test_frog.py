@@ -2,15 +2,10 @@
 
 import pytest
 
+from priomac.config import SimConfig
 from priomac.engine import SINK, Engine, tx_duration_us
-from priomac.frog import (
-    FrogMac,
-    FrogTiming,
-    SinkReassembler,
-    airtime_overhead,
-    fragment,
-)
-from priomac.metrics import EnergyLedger, MetricsCollector, PowerModel
+from priomac.frog import FrogMac, SinkReassembler, fragment
+from priomac.metrics import EnergyLedger, MetricsCollector
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet
 
 
@@ -48,16 +43,6 @@ def test_fragment_rejects_emergency_and_bad_sizes():
         fragment(pkt(), 35)
 
 
-def test_airtime_overhead_oracle():
-    assert airtime_overhead(pkt(), 2) == 119   # 17 headers
-    assert airtime_overhead(pkt(), 8) == 59    # 5 headers
-    assert airtime_overhead(pkt(), 32) == 44   # 2 headers
-    assert airtime_overhead(pkt(), 34) == 39   # 1 header
-    assert airtime_overhead(pkt(), 1) == 204
-    costs = [airtime_overhead(pkt(), s) for s in range(1, 35)]
-    assert all(b <= a for a, b in zip(costs, costs[1:]))
-
-
 def test_reassembly_round_trip_all_sizes():
     for size in range(1, 35):
         sink = SinkReassembler()
@@ -84,25 +69,25 @@ def test_reassembly_ignores_duplicates_and_order():
 # -- timing invariants ----------------------------------------------------
 
 def test_timing_defaults_hold_the_preemption_inequalities():
-    FrogTiming().validate()
+    SimConfig().validate()
 
 
 def test_timing_rejects_slow_emergency_contention():
     # 320 + 3*160 = 800 fails to fit strictly inside the 800 us gap
     with pytest.raises(ValueError):
-        FrogTiming(ifs_high_us=320).validate()
+        SimConfig(ifs_high_us=320).validate()
 
 
 def test_timing_rejects_short_low_priority_sensing():
     with pytest.raises(ValueError):
-        FrogTiming(ifs_low_us=800).validate()
+        SimConfig(ifs_low_us=800).validate()
 
 
 def test_timing_rejects_negative_ack_slack():
     # A sender may not give up on an ack before the ack could have ended.
     with pytest.raises(ValueError):
-        FrogTiming(ack_slack_us=-1).validate()
-    FrogTiming(ack_slack_us=0).validate()
+        SimConfig(ack_slack_us=-1).validate()
+    SimConfig(ack_slack_us=0).validate()
 
 
 @pytest.mark.parametrize("field,kwargs", [
@@ -117,7 +102,7 @@ def test_timing_rejects_negative_ack_slack():
 ], ids=["slots-high", "slots-low", "unit", "ifs-high", "ifs-low", "ifs-high-gap", "gap"])
 def test_timing_rejects_out_of_range_spacing(field, kwargs):
     with pytest.raises(ValueError, match=field):
-        FrogTiming(**kwargs).validate()
+        SimConfig(**kwargs).validate()
 
 
 # -- MAC scenarios ---------------------------------------------------------
@@ -125,19 +110,9 @@ def test_timing_rejects_out_of_range_spacing(field, kwargs):
 def make_mac(nodes, duration_us, fragment_size=8, seed=1, trace=None):
     eng = Engine(duration_us=duration_us, trace=trace)
     metrics = MetricsCollector()
-    ledger = EnergyLedger([SINK] + [n.node_id for n in nodes], PowerModel())
-    mac = FrogMac(
-        eng,
-        nodes,
-        metrics,
-        ledger,
-        seed=seed,
-        fragment_size=fragment_size,
-        timing=FrogTiming(),
-        payload_bytes=34,
-        normal_interval_us=10_000_000,
-        emergency_interval_us=120_000_000,
-    )
+    cfg = SimConfig(seed=seed, fragment_size=fragment_size)
+    ledger = EnergyLedger([SINK] + [n.node_id for n in nodes], cfg.power_mw)
+    mac = FrogMac(eng, nodes, metrics, ledger, cfg)
     return eng, mac, metrics, ledger
 
 
@@ -213,6 +188,20 @@ def test_emergency_preempts_the_gap():
     assert rep.classes[EMERGENCY].mean_us <= 192 + 3 * 160 + 1248 + 352
 
 
+def test_a_normal_arrival_leaves_a_contending_normal_attempt_alone():
+    # Packets arrive every 500 us, inside the 1000 us low-priority IFS; only
+    # an emergency may restart a normal attempt that is still contending.
+    rec = []
+    eng = Engine(duration_us=3000, trace=lambda t, n, k, d: rec.append((t, n, k, d)))
+    metrics = MetricsCollector()
+    cfg = SimConfig(normal_interval_s=0.0005)
+    ledger = EnergyLedger([SINK, 1], cfg.power_mw)
+    FrogMac(eng, lone_sender(), metrics, ledger, cfg).start()
+    eng.run()
+    starts = [t for t, n, k, d in rec if n == 1 and k == "tx-start"]
+    assert starts and 1000 <= starts[0] <= 1000 + 7 * 160
+
+
 def test_a_clean_exchange_cancels_no_event(monkeypatch):
     # A clean data frame queues no ack timeout, so a lone sender's packet
     # goes through without a single cancellation.
@@ -276,13 +265,13 @@ def test_a_retry_waits_out_the_ack_timeout(target):
     # Whether the ack or the data frame was lost, the sender retries only
     # after the timeout (data end + ack airtime + ack_slack_us) and a full
     # low-priority IFS, plus at most the largest backoff.
-    t = FrogTiming()
+    t = SimConfig()
     ack_air = tx_duration_us(t.ack_bytes)
     rec, rep = run_jammed(target)
     assert rep.classes[NORMAL].dropped == 1
     ends = [tm for tm, n, k, d in rec if n == 1 and k == "tx-end"]
     starts = [tm for tm, n, k, d in rec if n == 1 and k == "tx-start"]
-    assert len(starts) == len(ends) == 1 + t.max_retries
+    assert len(starts) == len(ends) == 1 + t.frog_max_retries
     lost = [1 for _, n, k, d in rec if k == "tx-end" and d.startswith(
         "kind=ack" if target == "ack" else "kind=data") and d.endswith("corrupted=1")]
     assert len(lost) == len(ends)

@@ -1,16 +1,22 @@
 """End-to-end runs, sweep outputs, trace files, and the command line."""
 
+import contextlib
 import csv
+import dataclasses
 import gc
+import io
+import math
 import subprocess
 import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priomac import harness
 from priomac.cli import main
-from priomac.config import SimConfig, _CONVERTERS
+from priomac.config import SimConfig, parse_config
 from priomac.harness import emit_trace, run_once, run_sweep, sweep_points
 from priomac.traffic import EMERGENCY, NORMAL, build_population
 
@@ -210,8 +216,8 @@ def test_cli_run_states_flag(capsys):
 def test_cli_print_config_lists_every_field(capsys):
     assert main(["run", "--print-config"]) == 0
     out = capsys.readouterr().out
-    for key in _CONVERTERS:
-        assert f"{key} = " in out
+    for field in dataclasses.fields(SimConfig):
+        assert f"{field.name} = " in out
     assert "fragment_size = none" in out
 
 
@@ -262,6 +268,85 @@ def test_cli_rejects_config_errors(tmp_path, capsys):
     assert main(["run", "--duration-s", "2", "--backoff-unit-us", "-10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    for name, flags in (
+        ("p_tx_mw", ["--p-tx-mw", "nan"]),
+        ("p_rx_mw", ["--p-rx-mw", "inf"]),
+        ("initial_energy_j", ["--protocol", "fps", "--initial-energy-j", "nan"]),
+        ("initial_energy_j", ["--protocol", "fps", "--initial-energy-j", "inf"]),
+        ("header_bytes", ["--header-bytes", "-30"]),
+        ("frog_max_retries", ["--frog-max-retries", "-1"]),
+        ("fps_max_retry_frames", ["--fps-max-retry-frames", "-1"]),
+        ("ack_bytes", ["--ack-bytes", "0"]),
+        ("indication_bytes", ["--indication-bytes", "0"]),
+        ("slot_guard_us", ["--protocol", "fps", "--slot-guard-us", "10"]),
+        ("seed", ["--seed", "banana"]),
+        # argparse reads a lone "-inf" as an option, not as the flag's value
+        ("--p-tx-mw", ["--p-tx-mw", "-inf"]),
+    ):
+        assert main(["run", *flags]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert name in err, err
+
+
+def out_of_spec(field):
+    """Text values the spec must refuse for one field.
+
+    The non-finite values, and one step past each bound the field declares.
+    """
+    values = ["nan", "inf", "-inf"]
+    bounds = field.metadata
+    whole = field.type != "float"
+    if "ge" in bounds:
+        lo = bounds["ge"]
+        values.append(repr(lo - 1 if whole else math.nextafter(lo, -math.inf)))
+    if "gt" in bounds:
+        values.append(repr(bounds["gt"]))
+    if "le" in bounds:
+        hi = bounds["le"]
+        values.append(repr(hi + 1 if whole else math.nextafter(hi, math.inf)))
+    if "lt" in bounds:
+        values.append(repr(bounds["lt"]))
+    if bounds.get("us"):
+        values.append("4e-07")  # 0.4 us rounds to 0
+    return values
+
+
+def field_and_bad_value():
+    fields = st.sampled_from(dataclasses.fields(SimConfig))
+    return fields.flatmap(lambda f: st.tuples(st.just(f.name), st.sampled_from(out_of_spec(f))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field_and_bad_value())
+def test_cli_refuses_every_out_of_spec_value_by_name(case):
+    name, value = case
+    err = io.StringIO()
+    # `--flag=value`: argparse takes a lone "-inf" or "-5e-324" for an option.
+    flag = "--" + name.replace("_", "-")
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", f"{flag}={value}"])
+    assert code == 2, (name, value)
+    lines = err.getvalue().splitlines(keepends=True)
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert name in lines[0], lines
+
+
+@pytest.mark.parametrize("flags,want", [
+    ([], SimConfig()),
+    (
+        ["--protocol", "fps", "--seed", "7", "--normal-interval-s", "0.3",
+         "--slot-guard-us", "500", "--ack-loss-p", "0.125", "--p-idle-mw", "2.5",
+         "--area-m", "33.3", "--initial-energy-j", "0.1"],
+        SimConfig(protocol="fps", seed=7, normal_interval_s=0.3, slot_guard_us=500,
+                  ack_loss_p=0.125, p_idle_mw=2.5, area_m=33.3, initial_energy_j=0.1),
+    ),
+], ids=["defaults", "fps"])
+def test_print_config_reads_back_through_config(tmp_path, capsys, flags, want):
+    assert main(["run", "--print-config", *flags]) == 0
+    path = tmp_path / "echo.cfg"
+    path.write_text(capsys.readouterr().out)
+    assert parse_config(str(path)) == want
 
 
 def test_module_entry_point():

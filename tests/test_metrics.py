@@ -2,6 +2,7 @@
 
 import pytest
 
+from priomac.config import SimConfig
 from priomac.metrics import (
     IDLE,
     RX,
@@ -9,14 +10,13 @@ from priomac.metrics import (
     TX,
     EnergyLedger,
     MetricsCollector,
-    PowerModel,
     _percentile_nearest_rank,
 )
 from priomac.traffic import EMERGENCY, NORMAL, Packet
 
 
 def ledger(nodes=(1,)):
-    return EnergyLedger(nodes, PowerModel())
+    return EnergyLedger(nodes, SimConfig().power_mw)
 
 
 def test_energy_update_oracle():
