@@ -273,13 +273,14 @@ class FrogMac(ArrivalProcess):
             return
         # The sink acks at once, and the ack's end settles the wait.
         self._pending[node] = ACK_DUE
+        # A delivered packet has left its queue and is never sent again, so
+        # the ack is final for a clean whole frame, or once every fragment
+        # has reached the sink.
         if kind == self.DATA_FRAG:
             self.reassembler.receive(frag)
-            final = self.reassembler.is_complete(packet.pid) and not self.metrics.is_terminal(
-                packet.pid
-            )
+            final = self.reassembler.is_complete(packet.pid)
         else:
-            final = not self.metrics.is_terminal(packet.pid)
+            final = True
         self._send_ack(node, final, packet, idx)
 
     def _send_ack(self, target: int, final: bool, packet: Packet, idx: int) -> None:

@@ -43,11 +43,6 @@ CSV_COLUMNS = (
 )
 
 
-def build_protocol(cfg: SimConfig, eng: Engine, nodes, metrics, ledger):
-    mac = FrogMac if cfg.protocol == "frog" else FpsMac
-    return mac(eng, nodes, metrics, ledger, cfg)
-
-
 def run_once(cfg: SimConfig, trace=None) -> RunReport:
     cfg.validate()
     eng = Engine(cfg.duration_us, cfg.bitrate_bps, trace)
@@ -59,7 +54,8 @@ def run_once(cfg: SimConfig, trace=None) -> RunReport:
     )
     metrics = MetricsCollector()
     ledger = EnergyLedger([SINK] + [nc.node_id for nc in nodes], cfg.power_mw)
-    proto = build_protocol(cfg, eng, nodes, metrics, ledger)
+    mac = FrogMac if cfg.protocol == "frog" else FpsMac
+    proto = mac(eng, nodes, metrics, ledger, cfg)
     proto.start()
     eng.run()
     proto.finish()
@@ -92,6 +88,8 @@ def sweep_points(experiment: str) -> list[tuple[str, int | None, int]]:
 
 
 def _run_row(cfg: SimConfig) -> dict:
+    """One run as a sweep row: the CSV_COLUMNS cells, plus the report's
+    per-source emergency delays under "emergency_by_src"."""
     report = run_once(cfg)
     em = report.classes[EMERGENCY]
     no = report.classes[NORMAL]
@@ -106,6 +104,7 @@ def _run_row(cfg: SimConfig) -> dict:
         "delivered": report.delivered,
         "dropped": report.dropped,
         "energy_per_delivered_uj": report.energy_per_delivered_uj,
+        "emergency_by_src": report.emergency_by_src,
     }
 
 
@@ -135,40 +134,36 @@ def _mean_std(values: list) -> tuple[float, float]:
     return statistics.mean(vals), statistics.stdev(vals)
 
 
-def run_sweep(
-    experiment: str,
-    base: SimConfig,
-    out_dir: str,
-    seeds=None,
-    jobs: int = 1,
-) -> tuple[str, str]:
-    """Run one experiment preset; returns (csv_path, plot_data_path)."""
-    if seeds is None:
-        seeds = range(1, 11)
+def sweep_configs(experiment: str, base: SimConfig, seeds) -> list[SimConfig]:
+    """One config per (point, seed) of an experiment preset, over `base`."""
     seeds = list(seeds)
-    configs = []
-    for protocol, fs, ne in sweep_points(experiment):
-        for seed in seeds:
-            configs.append(
-                dataclasses.replace(
-                    base,
-                    protocol=protocol,
-                    fragment_size=fs,
-                    n_emergency=ne,
-                    seed=seed,
-                )
-            )
+    return [
+        dataclasses.replace(
+            base, protocol=protocol, fragment_size=fs, n_emergency=ne, seed=seed
+        )
+        for protocol, fs, ne in sweep_points(experiment)
+        for seed in seeds
+    ]
+
+
+def run_rows(configs, jobs: int = 1) -> list[dict]:
+    """One sweep row per config, in config order, over up to `jobs` processes."""
     if jobs > 1:
         # Imported here: it pulls in multiprocessing, which every other
         # process would pay for in start-up time and memory.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_row, configs, chunksize=1))
-    else:
-        rows = [_run_row(cfg) for cfg in configs]
-    rows.sort(key=_row_key)
+            return list(pool.map(_run_row, configs, chunksize=1))
+    return [_run_row(cfg) for cfg in configs]
 
+
+def write_sweep(experiment: str, rows, out_dir: str) -> tuple[str, str]:
+    """Write an experiment's rows as `<experiment>.csv` and `.dat` in out_dir.
+
+    Rows may come in any order; returns (csv_path, plot_data_path).
+    """
+    rows = sorted(rows, key=_row_key)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{experiment}.csv")
     dat_path = os.path.join(out_dir, f"{experiment}.dat")
@@ -214,3 +209,17 @@ def run_sweep(
             fh.write(" ".join(cells) + "\n")
 
     return csv_path, dat_path
+
+
+def run_sweep(
+    experiment: str,
+    base: SimConfig,
+    out_dir: str,
+    seeds=None,
+    jobs: int = 1,
+) -> tuple[str, str]:
+    """Run one experiment preset; returns (csv_path, plot_data_path)."""
+    if seeds is None:
+        seeds = range(1, 11)
+    configs = sweep_configs(experiment, base, seeds)
+    return write_sweep(experiment, run_rows(configs, jobs), out_dir)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .traffic import CLASSES, EMERGENCY, NORMAL, Packet
+from .traffic import CLASSES, EMERGENCY, Packet
 
 # Radio state indices; STATE_NAMES labels them in reports.
 TX, RX, IDLE, SLEEP = 0, 1, 2, 3
@@ -77,6 +77,8 @@ class RunReport:
     node_energy_uj: dict[int, float]
     total_energy_uj: float
     energy_per_delivered_uj: float | None
+    # Emergency deliveries per source: {src: (count, sum of delays in us)}.
+    emergency_by_src: dict[int, tuple[int, int]]
 
 
 def _percentile_nearest_rank(sorted_vals, q: float):
@@ -92,13 +94,11 @@ class MetricsCollector:
         self._generated = {k: 0 for k in CLASSES}
         self._dropped = {k: 0 for k in CLASSES}
         self._delays = {k: [] for k in CLASSES}
+        self._em_by_src: dict[int, list[int]] = {}  # src -> [count, sum_us]
         self._terminal: set[int] = set()  # pids delivered or dropped
 
     def record_generated(self, packet: Packet) -> None:
         self._generated[packet.klass] += 1
-
-    def is_terminal(self, pid: int) -> bool:
-        return pid in self._terminal
 
     def record_delivery(self, packet: Packet, delivery_time: int) -> None:
         if packet.pid in self._terminal:
@@ -106,7 +106,12 @@ class MetricsCollector:
         if delivery_time <= packet.gen_time:
             raise ValueError("delivery must postdate generation")
         self._terminal.add(packet.pid)
-        self._delays[packet.klass].append(delivery_time - packet.gen_time)
+        delay = delivery_time - packet.gen_time
+        self._delays[packet.klass].append(delay)
+        if packet.klass == EMERGENCY:
+            tally = self._em_by_src.setdefault(packet.src, [0, 0])
+            tally[0] += 1
+            tally[1] += delay
 
     def record_drop(self, packet: Packet) -> None:
         if packet.pid in self._terminal:
@@ -161,4 +166,5 @@ class MetricsCollector:
             energy_per_delivered_uj=(
                 total_energy / total_delivered if total_delivered else None
             ),
+            emergency_by_src={src: tuple(t) for src, t in self._em_by_src.items()},
         )

@@ -35,13 +35,6 @@ class Packet:
 
 
 @dataclass(slots=True)
-class TrafficProfile:
-    klass: str
-    interval_us: int
-    phase_us: int
-
-
-@dataclass(slots=True)
 class NodeConfig:
     node_id: int
     x: float
@@ -49,14 +42,6 @@ class NodeConfig:
     emergency: bool
     normal_phase_us: int
     emergency_phase_us: int  # meaningful only when emergency is set
-
-
-def next_arrival(profile: TrafficProfile, now: int) -> int:
-    """First phase + k*interval strictly after `now`."""
-    if now < profile.phase_us:
-        return profile.phase_us
-    k = (now - profile.phase_us) // profile.interval_us + 1
-    return profile.phase_us + k * profile.interval_us
 
 
 def build_population(
@@ -110,7 +95,8 @@ class ArrivalProcess:
 
     A MAC subclasses it and implements on_arrival(node, klass), which runs
     once the new packet is queued and the node's next arrival of that class
-    is scheduled. Arrival events belong to the arriving node.
+    is scheduled. Arrival events belong to the arriving node, and each one
+    fires at its scheduled time, so the next arrival is one interval on.
     """
 
     def __init__(self, eng: Engine, nodes: list[NodeConfig], metrics, cfg: SimConfig):
@@ -126,16 +112,6 @@ class ArrivalProcess:
         # emergencies of non-detectors.
         self._next_norm = [math.inf] * n
         self._next_em = [math.inf] * n
-        self._normal_profile = {}
-        self._emergency_profile = {}
-        for nc in nodes:
-            self._normal_profile[nc.node_id] = TrafficProfile(
-                NORMAL, cfg.normal_interval_us, nc.normal_phase_us
-            )
-            if nc.emergency:
-                self._emergency_profile[nc.node_id] = TrafficProfile(
-                    EMERGENCY, cfg.emergency_interval_us, nc.emergency_phase_us
-                )
 
     def on_arrival(self, node: int, klass: str) -> None:
         raise NotImplementedError
@@ -144,11 +120,10 @@ class ArrivalProcess:
         """Schedule every flow's first arrival, node by node."""
         for nc in self.nodes:
             node = nc.node_id
-            t = self._next_norm[node] = self._normal_profile[node].phase_us
+            t = self._next_norm[node] = nc.normal_phase_us
             self.eng.schedule(t, node, self._arrival_normal, node)
-            eprof = self._emergency_profile.get(node)
-            if eprof is not None:
-                t = self._next_em[node] = eprof.phase_us
+            if nc.emergency:
+                t = self._next_em[node] = nc.emergency_phase_us
                 self.eng.schedule(t, node, self._arrival_emergency, node)
 
     def _make_packet(self, node: int, klass: str) -> Packet:
@@ -162,12 +137,12 @@ class ArrivalProcess:
 
     def _arrival_normal(self, node: int) -> None:
         self._nq[node].append(self._make_packet(node, NORMAL))
-        t = self._next_norm[node] = next_arrival(self._normal_profile[node], self.eng.now)
+        t = self._next_norm[node] = self.eng.now + self.cfg.normal_interval_us
         self.eng.schedule(t, node, self._arrival_normal, node)
         self.on_arrival(node, NORMAL)
 
     def _arrival_emergency(self, node: int) -> None:
         self._emq[node].append(self._make_packet(node, EMERGENCY))
-        t = self._next_em[node] = next_arrival(self._emergency_profile[node], self.eng.now)
+        t = self._next_em[node] = self.eng.now + self.cfg.emergency_interval_us
         self.eng.schedule(t, node, self._arrival_emergency, node)
         self.on_arrival(node, EMERGENCY)

@@ -5,18 +5,19 @@ verdict line (visible with -s, or in the captured output on failure).
 The two sweep fixtures run the real experiment grids at default scale,
 so this module dominates the suite's runtime by design.
 
-Only criterion 1 times a sweep, so only its fig5 sweep runs serially. The
-fig4 sweep and criterion 2's cohort runs use up to ``JOBS`` processes: a
-run's outputs do not depend on the process it runs in (criterion 9).
+Each grid run happens once: criterion 2 reads the fig5 fixture's rows,
+and the fig4 fixture runs only the points fig5 lacks. Only criterion 1
+times a sweep, so only the fig5 runs are serial; the rest of fig4 uses up
+to ``JOBS`` processes: a run's outputs do not depend on the process it runs
+in (criterion 9).
 """
 
 import csv
-import dataclasses
 import os
 import random
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import astuple
 
 import pytest
 
@@ -28,14 +29,16 @@ from priomac.fuzzy import fuzzy_core, priority_score
 from priomac.harness import (
     EMERGENCY_COUNTS,
     FRAGMENT_SIZES,
-    build_protocol,
     emit_trace,
-    run_once,
+    run_rows,
     run_sweep,
+    sweep_configs,
+    write_sweep,
 )
 from priomac.metrics import EnergyLedger, MetricsCollector
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet, build_population
 
+BASE = SimConfig()
 SEEDS = range(1, 11)
 JOBS = min(2, os.cpu_count() or 1)
 
@@ -86,13 +89,23 @@ def load_dat(path):
     return agg
 
 
+def fig4_rows(fig5_runs, base, seeds, jobs):
+    """fig4's rows: fig5's runs over the same base and seeds, plus the rest."""
+    done = {astuple(cfg) for cfg in sweep_configs("fig5", base, seeds)}
+    rest = [cfg for cfg in sweep_configs("fig4", base, seeds) if astuple(cfg) not in done]
+    return fig5_runs + run_rows(rest, jobs)
+
+
 @pytest.fixture(scope="module")
 def fig5(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig5")
+    # A cold sweep at jobs=1, as run_sweep would run it.
     t0 = time.perf_counter()
-    csv_path, dat_path = run_sweep("fig5", SimConfig(), str(out), seeds=SEEDS, jobs=1)
+    runs = run_rows(sweep_configs("fig5", BASE, SEEDS), jobs=1)
+    csv_path, dat_path = write_sweep("fig5", runs, str(out))
     elapsed = time.perf_counter() - t0
     return {
+        "runs": runs,
         "rows": load_csv(csv_path),
         "agg": load_dat(dat_path),
         "elapsed": elapsed,
@@ -100,10 +113,21 @@ def fig5(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def fig4(tmp_path_factory):
+def fig4(fig5, tmp_path_factory):
     out = tmp_path_factory.mktemp("fig4")
-    csv_path, dat_path = run_sweep("fig4", SimConfig(), str(out), seeds=SEEDS, jobs=JOBS)
+    rows = fig4_rows(fig5["runs"], BASE, SEEDS, JOBS)
+    csv_path, dat_path = write_sweep("fig4", rows, str(out))
     return {"rows": load_csv(csv_path), "agg": load_dat(dat_path)}
+
+
+def test_fig4_from_fig5_runs_equals_a_fresh_sweep(tmp_path):
+    base, seeds = SimConfig(duration_s=20.0), range(1, 3)
+    fig5_runs = run_rows(sweep_configs("fig5", base, seeds))
+    merged = write_sweep("fig4", fig4_rows(fig5_runs, base, seeds, 1), str(tmp_path / "merged"))
+    fresh = run_sweep("fig4", base, str(tmp_path / "fresh"), seeds=seeds)
+    for a, b in zip(merged, fresh):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read(), os.path.basename(a)
 
 
 # -- 1: delay ordering --------------------------------------------------------
@@ -142,79 +166,46 @@ def inversions(curve):
     return out
 
 
-class EmergencyDelaysBySource(MetricsCollector):
-    """MetricsCollector that also files each emergency delay under its source."""
-
-    def __init__(self):
-        super().__init__()
-        self.by_src = {}
-
-    def record_delivery(self, packet, delivery_time):
-        super().record_delivery(packet, delivery_time)
-        if packet.klass == EMERGENCY:
-            self.by_src.setdefault(packet.src, []).append(delivery_time - packet.gen_time)
-
-
-def population(cfg, n_emergency):
-    return build_population(
-        cfg.n_nodes, n_emergency, cfg.seed,
-        area_m=cfg.area_m,
-        normal_interval_us=cfg.normal_interval_us,
-        emergency_interval_us=cfg.emergency_interval_us,
+def detectors(seed, n_emergency):
+    """The detector ids of one sweep run, as run_once places them."""
+    nodes = build_population(
+        BASE.n_nodes, n_emergency, seed,
+        area_m=BASE.area_m,
+        normal_interval_us=BASE.normal_interval_us,
+        emergency_interval_us=BASE.emergency_interval_us,
     )
+    return {nc.node_id for nc in nodes if nc.emergency}
 
 
-def emergency_delays_by_source(cfg):
-    """One sweep run, wired as harness.run_once.
-
-    Returns the run's detector ids and {detector id: [delay_us, ...]}.
-    """
-    cfg.validate()
-    eng = Engine(cfg.duration_us, cfg.bitrate_bps)
-    nodes = population(cfg, cfg.n_emergency)
-    metrics = EmergencyDelaysBySource()
-    ledger = EnergyLedger([SINK] + [nc.node_id for nc in nodes], cfg.power_mw)
-    proto = build_protocol(cfg, eng, nodes, metrics, ledger)
-    proto.start()
-    eng.run()
-    proto.finish()
-    return {nc.node_id for nc in nodes if nc.emergency}, metrics.by_src
-
-
-def cohort_curve(rows, protocol, fragment_size, pool):
+def cohort_curve(fig5, protocol):
     """Mean emergency delay of a fixed detector cohort at each n_emergency.
 
     The cohort of a seed is its detector set at the smallest n_emergency;
     detector sets nest, so those nodes are detectors at every point and the
     curve measures the load the added detectors bring, not which detectors
     happen to be averaged. Each run's mean over all its detectors must
-    match the sweep's CSV row, which pins these runs to the sweep's runs.
+    match the sweep's CSV row, which pins the per-source delays to the
+    sweep's runs.
     """
-    csv_em = {(r["protocol"], r["n_emergency"], r["seed"]): r["em"] for r in rows}
-    base = SimConfig()
-    cohorts = {
-        seed: {nc.node_id for nc in population(
-            dataclasses.replace(base, seed=seed), EMERGENCY_COUNTS[0]) if nc.emergency}
-        for seed in SEEDS
+    csv_em = {(r["protocol"], r["n_emergency"], r["seed"]): r["em"] for r in fig5["rows"]}
+    by_src = {
+        (r["n_emergency"], r["seed"]): r["emergency_by_src"]
+        for r in fig5["runs"]
+        if r["protocol"] == protocol
     }
-    points = [(ne, seed) for ne in EMERGENCY_COUNTS for seed in SEEDS]
-    configs = [
-        dataclasses.replace(
-            base, protocol=protocol, fragment_size=fragment_size,
-            n_emergency=ne, seed=seed,
-        )
-        for ne, seed in points
-    ]
+    cohorts = {seed: detectors(seed, EMERGENCY_COUNTS[0]) for seed in SEEDS}
     per_point = {ne: [] for ne in EMERGENCY_COUNTS}
-    for (ne, seed), (detectors, by_src) in zip(
-        points, pool.map(emergency_delays_by_source, configs, chunksize=1)
-    ):
-        assert cohorts[seed] <= detectors, (protocol, ne, seed)
-        everyone = [d for delays in by_src.values() for d in delays]
-        run_mean = sum(everyone) / len(everyone)
-        assert float(f"{run_mean:.3f}") == csv_em[(protocol, ne, seed)], (protocol, ne, seed)
-        cohort = [d for src in cohorts[seed] for d in by_src.get(src, [])]
-        per_point[ne].append(sum(cohort) / len(cohort))
+    for ne in EMERGENCY_COUNTS:
+        for seed in SEEDS:
+            tallies = by_src[(ne, seed)]
+            run_detectors = detectors(seed, ne)
+            assert cohorts[seed] <= run_detectors, (protocol, ne, seed)
+            assert set(tallies) <= run_detectors, (protocol, ne, seed)
+            count = sum(c for c, _ in tallies.values())
+            run_mean = sum(s for _, s in tallies.values()) / count
+            assert float(f"{run_mean:.3f}") == csv_em[(protocol, ne, seed)], (protocol, ne, seed)
+            cohort = [tallies[src] for src in cohorts[seed] if src in tallies]
+            per_point[ne].append(sum(s for _, s in cohort) / sum(c for c, _ in cohort))
     return [statistics.mean(per_point[ne]) for ne in EMERGENCY_COUNTS]
 
 
@@ -223,8 +214,7 @@ def test_criterion_2_load_trend(fig5):
     ok = True
     for proto in ("frog", "fps"):
         fs = 8 if proto == "frog" else None
-        with ProcessPoolExecutor(max_workers=JOBS) as pool:
-            curve = cohort_curve(fig5["rows"], proto, fs, pool)
+        curve = cohort_curve(fig5, proto)
         inv = inversions(curve)
         proto_ok = len(inv) <= 1 and all(rel <= 0.05 for _, _, _, rel in inv)
         ok = ok and proto_ok

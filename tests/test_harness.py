@@ -36,12 +36,28 @@ def test_run_once_is_deterministic():
 
 
 def test_generated_counts_match_the_arrival_arithmetic():
-    cfg = small("frog", n_nodes=3, n_emergency=0, duration_s=100.0)
-    rep = run_once(cfg)
-    nodes = build_population(3, 0, seed=1)
-    want = sum((cfg.duration_us - n.normal_phase_us) // 10_000_000 + 1 for n in nodes)
-    assert rep.classes[NORMAL].generated == want
-    assert rep.classes[EMERGENCY].generated == 0
+    # A flow arrives at exactly phase + k * interval, for every such time
+    # <= duration; 300 s gives every detector two emergencies (phase < 120 s).
+    for proto in ("frog", "fps"):
+        for n_nodes, n_emergency, duration_s in ((3, 0, 100.0), (5, 3, 300.0)):
+            cfg = small(proto, n_nodes=n_nodes, n_emergency=n_emergency, duration_s=duration_s)
+            seen = []
+
+            def trace(t, node, kind, detail):
+                if kind == "arrival":
+                    seen.append((node, detail.split()[0].removeprefix("class="), t))
+
+            rep = run_once(cfg, trace=trace)
+            want = []
+            for n in build_population(n_nodes, n_emergency, seed=1):
+                flows = [(NORMAL, n.normal_phase_us, cfg.normal_interval_us)]
+                if n.emergency:
+                    flows.append((EMERGENCY, n.emergency_phase_us, cfg.emergency_interval_us))
+                for klass, phase, interval in flows:
+                    want += [(n.node_id, klass, t) for t in range(phase, cfg.duration_us + 1, interval)]
+            assert sorted(seen) == sorted(want), (proto, n_emergency)
+            for klass in (NORMAL, EMERGENCY):
+                assert rep.classes[klass].generated == sum(k == klass for _, k, _ in want)
 
 
 @pytest.mark.parametrize("protocol", ["frog", "fps"])
@@ -81,10 +97,16 @@ def test_energy_closes_on_the_duration_for_both_protocols():
 
 def test_conservation_in_reports():
     for proto in ("frog", "fps"):
-        rep = run_once(small(proto, n_emergency=6, duration_s=60.0))
+        # 300 s: every detector's phase (< 120 s) falls inside the run.
+        rep = run_once(small(proto, n_emergency=6, duration_s=300.0))
         for stats in rep.classes.values():
             assert stats.generated == stats.delivered + stats.dropped + stats.in_flight
             assert stats.in_flight >= 0
+        em = rep.classes[EMERGENCY]
+        counts = [count for count, _ in rep.emergency_by_src.values()]
+        sums = [sum_us for _, sum_us in rep.emergency_by_src.values()]
+        assert em.delivered > 0 and sum(counts) == em.delivered
+        assert sum(sums) / sum(counts) == em.mean_us
 
 
 # -- trace files -------------------------------------------------------------

@@ -63,8 +63,8 @@ def test_percentile_nearest_rank():
     assert _percentile_nearest_rank([1, 2], 0.5) == 1.0
 
 
-def pkt(pid, klass=NORMAL, gen=1000):
-    return Packet(pid, 1, klass, gen, 34)
+def pkt(pid, klass=NORMAL, gen=1000, src=1):
+    return Packet(pid, src, klass, gen, 34)
 
 
 def test_delivery_and_drop_are_exclusive_and_single():
@@ -72,12 +72,27 @@ def test_delivery_and_drop_are_exclusive_and_single():
     p = pkt(1)
     m.record_generated(p)
     m.record_delivery(p, 3000)
-    assert m.is_terminal(1)
     assert m.summarize(ledger(), 10_000).classes[NORMAL].mean_us == 2000
     with pytest.raises(ValueError):
         m.record_delivery(p, 4000)
     with pytest.raises(ValueError):
         m.record_drop(p)
+
+
+def test_emergency_delays_are_kept_per_source():
+    m = MetricsCollector()
+    deliveries = (
+        (pkt(1, EMERGENCY, gen=0, src=3), 700),
+        (pkt(2, NORMAL, gen=0, src=3), 5000),
+        (pkt(3, EMERGENCY, gen=100, src=5), 400),
+        (pkt(4, EMERGENCY, gen=1000, src=3), 1900),
+        (pkt(5, NORMAL, gen=0, src=7), 9000),
+    )
+    for p, at in deliveries:
+        m.record_generated(p)
+        m.record_delivery(p, at)
+    rep = m.summarize(ledger(), 10_000)
+    assert rep.emergency_by_src == {3: (2, 700 + 900), 5: (1, 300)}
 
 
 def test_delivery_must_postdate_generation():

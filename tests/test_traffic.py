@@ -1,34 +1,8 @@
-"""Arrival arithmetic and population construction."""
+"""Population construction."""
 
 import pytest
 
-from priomac.traffic import (
-    EMERGENCY,
-    NORMAL,
-    TrafficProfile,
-    build_population,
-    next_arrival,
-)
-
-
-def test_next_arrival_is_strictly_after_now():
-    p = TrafficProfile(NORMAL, 10_000_000, 0)
-    assert next_arrival(p, 0) == 10_000_000
-    assert next_arrival(p, 9_999_999) == 10_000_000
-    assert next_arrival(p, 10_000_000) == 20_000_000
-
-
-def test_next_arrival_before_phase_returns_phase():
-    p = TrafficProfile(NORMAL, 10_000_000, 3_000_000)
-    assert next_arrival(p, 0) == 3_000_000
-    assert next_arrival(p, 2_999_999) == 3_000_000
-    assert next_arrival(p, 13_000_000) == 23_000_000
-
-
-def test_next_arrival_emergency_cadence():
-    p = TrafficProfile(EMERGENCY, 120_000_000, 0)
-    assert next_arrival(p, 119_000_000) == 120_000_000
-    assert next_arrival(p, 120_000_001) == 240_000_000
+from priomac.traffic import build_population
 
 
 def test_population_shape_and_bounds():
