@@ -48,7 +48,7 @@ class Transmission:
     start: int
     end: int
     kind: str
-    nbytes: int
+    on_end: object  # on_end(tx, corrupted) once it leaves the air, or None
     meta: object
     handle: int
     label: str
@@ -70,7 +70,6 @@ class Engine:
         self.channel = Channel()
         self.trace = trace  # callable(time_us, node, kind, detail) or None
         self._transmitting: set[int] = set()
-        self._end_listeners = []
         self._airtime: dict[int, int] = {}  # frame bytes -> airtime us
 
     # -- events ---------------------------------------------------------
@@ -82,19 +81,14 @@ class Engine:
             )
         return self.queue.push(fire_time, owner, fn, arg)
 
-    def after(self, delay: int, owner: int, fn, arg=None) -> int:
-        return self.schedule(self.now + delay, owner, fn, arg)
-
     def cancel(self, handle: int) -> None:
         self.queue.cancel(handle)
 
     # -- radio ----------------------------------------------------------
 
-    def add_end_listener(self, fn) -> None:
-        """fn(tx, corrupted) is called when any transmission leaves the air."""
-        self._end_listeners.append(fn)
-
-    def begin_tx(self, src: int, nbytes: int, kind: str, meta=None, label: str = "") -> Transmission:
+    def begin_tx(
+        self, src: int, nbytes: int, kind: str, on_end=None, meta=None, label: str = ""
+    ) -> Transmission:
         if src in self._transmitting:
             raise ProtocolBug(f"node {src} is already transmitting")
         air = self._airtime.get(nbytes)
@@ -102,7 +96,7 @@ class Engine:
             air = self._airtime[nbytes] = tx_duration_us(nbytes, self.bitrate_bps)
         end = self.now + air
         handle = self.channel.begin(src, self.now, end)
-        tx = Transmission(src, self.now, end, kind, nbytes, meta, handle, label)
+        tx = Transmission(src, self.now, end, kind, on_end, meta, handle, label)
         self._transmitting.add(src)
         if self.trace is not None:
             self.trace(self.now, src, "tx-start", f"kind={kind}{label}")
@@ -118,8 +112,8 @@ class Engine:
                 self.now, tx.src, "tx-end",
                 f"kind={tx.kind}{tx.label} corrupted={int(corrupted)}",
             )
-        for fn in self._end_listeners:
-            fn(tx, corrupted)
+        if tx.on_end is not None:
+            tx.on_end(tx, corrupted)
 
     # -- main loop ------------------------------------------------------
 
@@ -127,9 +121,10 @@ class Engine:
         """Dispatch events in order until the queue drains or time runs out.
 
         A run is one-shot: afterwards the queue, whose leftover events stay
-        in flight, and the end listeners are dropped. Both hold the MACs'
-        bound methods and the MACs hold this engine, so keeping them would
-        leave every finished run to the cyclic GC.
+        in flight, is dropped. It holds the MACs' bound methods, as events
+        and as the end handlers of frames still on the air, and the MACs
+        hold this engine, so keeping it would leave every finished run to
+        the cyclic GC.
         """
         pop = self.queue.pop
         duration = self.duration_us
@@ -144,4 +139,3 @@ class Engine:
             item[2](item[3])
         self.now = duration
         self.queue = EventQueue()
-        self._end_listeners = []

@@ -187,8 +187,8 @@ class FpsMac(ArrivalProcess):
         }
 
         n = len(self._nq)
-        self._em_retry = [0] * n
-        self._nq_retry = [0] * n
+        # Frames each member's class head has failed in, by class.
+        self._retries = {EMERGENCY: [0] * n, NORMAL: [0] * n}
         self._rng = [substream(cfg.seed, i) for i in range(n)]
         # Members with a non-empty queue: the claimants of the next frame.
         self._holding = set()
@@ -209,11 +209,7 @@ class FpsMac(ArrivalProcess):
         self._snapshot = {}
         self._contenders = []
         self._transmitters = []
-        self._collision = False
-        self._winner = None
         self._eis_outcome = "empty"
-
-        eng.add_end_listener(self._on_tx_end)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -312,8 +308,6 @@ class FpsMac(ArrivalProcess):
         self._snapshot = snapshot
         self._contenders = contenders
         self._mode = MODE_PERIODIC
-        self._collision = False
-        self._winner = None
         self._eis_outcome = "empty"
 
         transmitters = []
@@ -365,33 +359,23 @@ class FpsMac(ArrivalProcess):
         for m in self._transmitters:
             self._adjust(m, RX, TX, start, end)
             label = f" idx={self._frame_idx - 1}" if self.eng.trace is not None else ""
-            self.eng.begin_tx(m, self.cfg.indication_bytes, self.IND, m, label)
+            self.eng.begin_tx(
+                m, self.cfg.indication_bytes, self.IND, self._on_ind_end, m, label
+            )
 
     # -- transmission completions ----------------------------------------
 
-    def _on_tx_end(self, tx, corrupted: bool) -> None:
-        kind = tx.kind
-        if kind == self.DATA:
-            self._on_data_end(tx, corrupted)
-        elif kind == self.ACK:
-            self._on_ack_end(tx, corrupted)
-        elif kind == self.IND:
-            self._on_ind_end(tx, corrupted)
-        elif kind == self.EIS_ACK:
-            self._on_eis_ack_end(tx, corrupted)
-        elif kind == self.SCHED:
-            self._on_sched_end(tx, corrupted)
-
     def _on_ind_end(self, tx, corrupted: bool) -> None:
         if corrupted:
-            self._collision = True
             self._eis_outcome = "collision"
             return
         # A clean indication means exactly one member transmitted.
         winner = tx.meta
         now = self.eng.now
         self._adjust(SINK, RX, TX, now, now + self.geom.ack_air)
-        self.eng.begin_tx(SINK, self.cfg.ack_bytes, self.EIS_ACK, winner)
+        self.eng.begin_tx(
+            SINK, self.cfg.ack_bytes, self.EIS_ACK, self._on_eis_ack_end, winner
+        )
 
     def _on_eis_ack_end(self, tx, corrupted: bool) -> None:
         winner = tx.meta
@@ -402,7 +386,6 @@ class FpsMac(ArrivalProcess):
             self._eis_outcome = "ack-lost"
             return
         self._mode = MODE_EMERGENCY
-        self._winner = winner
         self._eis_outcome = f"winner={winner}"
 
     def _control(self, _arg) -> None:
@@ -436,7 +419,9 @@ class FpsMac(ArrivalProcess):
                 f"idx={idx} start={f} mode={mode} eis={self._eis_outcome} slots=[{slots}]",
             )
         label = f" idx={idx}" if self.eng.trace is not None else ""
-        self.eng.begin_tx(SINK, self.cfg.schedule_bytes, self.SCHED, frame, label)
+        self.eng.begin_tx(
+            SINK, self.cfg.schedule_bytes, self.SCHED, self._on_sched_end, frame, label
+        )
 
     def _on_sched_end(self, tx, corrupted: bool) -> None:
         if corrupted:
@@ -447,7 +432,7 @@ class FpsMac(ArrivalProcess):
 
     def _slot_tx(self, arg) -> None:
         node, purpose, slot_i = arg
-        q = self._emq[node] if purpose == EMERGENCY else self._nq[node]
+        q = self._queues[purpose][node]
         if not q:
             if self.eng.trace is not None:
                 self.eng.trace(self.eng.now, node, "slot-idle", f"slot={slot_i}")
@@ -465,6 +450,7 @@ class FpsMac(ArrivalProcess):
             node,
             packet.payload_bytes + self.cfg.header_bytes,
             self.DATA,
+            self._on_data_end,
             (node, purpose, packet, slot_i),
             label,
         )
@@ -477,7 +463,8 @@ class FpsMac(ArrivalProcess):
         self._adjust(SINK, RX, TX, now, now + self.geom.ack_air)
         label = f" to={node} id={packet.pid}" if self.eng.trace is not None else ""
         self.eng.begin_tx(
-            SINK, self.cfg.ack_bytes, self.ACK, (node, purpose, packet, slot_i), label
+            SINK, self.cfg.ack_bytes, self.ACK, self._on_ack_end,
+            (node, purpose, packet, slot_i), label,
         )
 
     def _on_ack_end(self, tx, corrupted: bool) -> None:
@@ -491,21 +478,9 @@ class FpsMac(ArrivalProcess):
                 self.eng.trace(now, node, "ack-lost", f"id={packet.pid}")
             self._bump_retry(node, packet.klass)
             return
-        q = self._emq[node] if packet.klass == EMERGENCY else self._nq[node]
-        popped = q.popleft()
-        if popped is not packet:
-            raise ProtocolBug("slot served a packet that was not the class head")
-        if packet.klass == EMERGENCY:
-            self._em_retry[node] = 0
-        else:
-            self._nq_retry[node] = 0
+        self._deliver(node, packet)
+        self._retries[packet.klass][node] = 0
         self._release(node)
-        self.metrics.record_delivery(packet, now)
-        if self.eng.trace is not None:
-            self.eng.trace(
-                now, node, "delivery",
-                f"id={packet.pid} class={packet.klass} delay={now - packet.gen_time}",
-            )
 
     # -- retry bookkeeping -------------------------------------------------
 
@@ -515,25 +490,10 @@ class FpsMac(ArrivalProcess):
             self._holding.discard(node)
 
     def _bump_retry(self, node: int, klass: str) -> None:
-        if klass == EMERGENCY:
-            self._em_retry[node] += 1
-            if self._em_retry[node] > self.cfg.fps_max_retry_frames:
-                self._em_retry[node] = 0
-                packet = self._emq[node].popleft()
-                self._release(node)
-                self.metrics.record_drop(packet)
-                if self.eng.trace is not None:
-                    self.eng.trace(
-                        self.eng.now, node, "drop", f"id={packet.pid} class={EMERGENCY}"
-                    )
-        else:
-            self._nq_retry[node] += 1
-            if self._nq_retry[node] > self.cfg.fps_max_retry_frames:
-                self._nq_retry[node] = 0
-                packet = self._nq[node].popleft()
-                self._release(node)
-                self.metrics.record_drop(packet)
-                if self.eng.trace is not None:
-                    self.eng.trace(
-                        self.eng.now, node, "drop", f"id={packet.pid} class={NORMAL}"
-                    )
+        """Count one failed frame for node's klass head; drop it past the limit."""
+        retries = self._retries[klass]
+        retries[node] += 1
+        if retries[node] > self.cfg.fps_max_retry_frames:
+            retries[node] = 0
+            self._drop(node, self._queues[klass][node][0])
+            self._release(node)

@@ -20,9 +20,12 @@ from .engine import SINK, Engine, substream, tx_duration_us
 from .metrics import IDLE, RX, TX, EnergyLedger, MetricsCollector
 from .traffic import EMERGENCY, NORMAL, ArrivalProcess, NodeConfig, Packet
 
-# `_pending` of a sender whose clean frame the sink is acking. No timeout is
-# queued for it: a clean ack ends the wait, a corrupted one queues the timeout.
-ACK_DUE = -1
+# `_pending` of a sender from the start of its data frame until the ack
+# arrives or the ack timeout fires; otherwise `_pending` holds the handle of
+# its IFS or backoff event, or None when it has nothing to send. Only an
+# attempt still contending can be preempted. No handle is kept for the ack
+# timeout, which is queued only when no clean ack can come and never cancelled.
+ACK_WAIT = -1
 
 
 @dataclass(slots=True)
@@ -114,15 +117,11 @@ class FrogMac(ArrivalProcess):
         self._retry_key = [None] * n
         self._retries = [0] * n
         self._pending = [None] * n
-        self._pending_kind = [None] * n
         self._attempt_class = [None] * n
         self._sense_from = [0] * n
-        self._intx = [False] * n
         self._state = [IDLE] * n
         self._since = [0] * n
         self._rng = [substream(cfg.seed, i) for i in range(n)]
-
-        eng.add_end_listener(self._on_tx_end)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -148,25 +147,21 @@ class FrogMac(ArrivalProcess):
         self._state[node] = state
         self._since[node] = now
 
-    def _engaged(self, node: int) -> bool:
-        return self._pending[node] is not None or self._intx[node]
-
     # -- traffic --------------------------------------------------------
 
     def on_arrival(self, node: int, klass: str) -> None:
-        if not self._engaged(node):
+        pending = self._pending[node]
+        if pending is None:
             self._set_state(node, RX)
             self._start_attempt(node, self.eng.now)
         elif (
             klass == EMERGENCY
-            and self._pending[node] is not None
+            and pending != ACK_WAIT
             and self._attempt_class[node] == NORMAL
-            and self._pending_kind[node] in ("sense", "txwait")
         ):
             # Preempt our own low-priority contention; the partially sent
             # packet keeps its cursor and resumes afterwards.
-            self.eng.cancel(self._pending[node])
-            self._pending[node] = None
+            self.eng.cancel(pending)
             self._start_attempt(node, self.eng.now)
 
     # -- channel access -------------------------------------------------
@@ -186,10 +181,8 @@ class FrogMac(ArrivalProcess):
         self._attempt_class[node] = klass
         self._sense_from[node] = at
         self._pending[node] = self.eng.schedule(at + ifs, node, self._cca_done, node)
-        self._pending_kind[node] = "sense"
 
     def _cca_done(self, node: int) -> None:
-        self._pending[node] = None
         eng = self.eng
         if eng.channel.busy_in(self._sense_from[node], eng.now):
             self._defer(node)
@@ -200,14 +193,12 @@ class FrogMac(ArrivalProcess):
             slots = self.cfg.backoff_slots_low
         backoff = self._rng[node].randrange(slots) * self.cfg.backoff_unit_us
         self._pending[node] = eng.schedule(eng.now + backoff, node, self._tx_start, node)
-        self._pending_kind[node] = "txwait"
 
     def _defer(self, node: int) -> None:
         until = self.eng.channel.busy_until(self.eng.now)
         self._start_attempt(node, until)
 
     def _tx_start(self, node: int) -> None:
-        self._pending[node] = None
         eng = self.eng
         if eng.channel.busy_at(eng.now):
             self._defer(node)  # someone else started during our backoff
@@ -232,39 +223,19 @@ class FrogMac(ArrivalProcess):
                 else ""
             )
         self._set_state(node, TX)
-        self._intx[node] = True
-        eng.begin_tx(node, nbytes, kind, meta, label)
+        self._pending[node] = ACK_WAIT
+        eng.begin_tx(node, nbytes, kind, self._on_data_end, meta, label)
 
     # -- frame completions ----------------------------------------------
 
-    def _on_tx_end(self, tx, corrupted: bool) -> None:
-        kind = tx.kind
-        if kind == self.ACK:
-            self._set_state(SINK, RX)
-            self._intx[SINK] = False
-            target, final, packet, idx = tx.meta
-            if not corrupted:
-                self._ack_received(target, final, packet, idx)
-            else:
-                # The target misses its ack; it times out ack_slack_us later.
-                self._pending[target] = self.eng.schedule(
-                    self.eng.now + self.cfg.ack_slack_us,
-                    target,
-                    self._ack_timeout,
-                    (target, packet, idx),
-                )
-            return
-        if kind != self.DATA_FRAG and kind != self.DATA_WHOLE:
-            return
+    def _on_data_end(self, tx, corrupted: bool) -> None:
         node = tx.src
         packet, idx, frag = tx.meta
         self._set_state(node, RX)
-        self._intx[node] = False
         # The sender cannot see corruption; it waits for the ack either way.
-        self._pending_kind[node] = "ackwait"
         if corrupted:
             # No ack will come: time out ack_slack_us after it would have ended.
-            self._pending[node] = self.eng.schedule(
+            self.eng.schedule(
                 tx.end + self.ack_air_us + self.cfg.ack_slack_us,
                 node,
                 self._ack_timeout,
@@ -272,11 +243,10 @@ class FrogMac(ArrivalProcess):
             )
             return
         # The sink acks at once, and the ack's end settles the wait.
-        self._pending[node] = ACK_DUE
         # A delivered packet has left its queue and is never sent again, so
         # the ack is final for a clean whole frame, or once every fragment
         # has reached the sink.
-        if kind == self.DATA_FRAG:
+        if frag is not None:
             self.reassembler.receive(frag)
             final = self.reassembler.is_complete(packet.pid)
         else:
@@ -286,41 +256,40 @@ class FrogMac(ArrivalProcess):
     def _send_ack(self, target: int, final: bool, packet: Packet, idx: int) -> None:
         eng = self.eng
         self._set_state(SINK, TX)
-        self._intx[SINK] = True
         label = f" to={target} id={packet.pid}" if eng.trace is not None else ""
-        eng.begin_tx(SINK, self.cfg.ack_bytes, self.ACK, (target, final, packet, idx), label)
+        eng.begin_tx(
+            SINK, self.cfg.ack_bytes, self.ACK, self._on_ack_end,
+            (target, final, packet, idx), label,
+        )
+
+    def _on_ack_end(self, tx, corrupted: bool) -> None:
+        self._set_state(SINK, RX)
+        target, final, packet, idx = tx.meta
+        if not corrupted:
+            self._ack_received(target, final, packet, idx)
+        else:
+            # The target misses its ack; it times out ack_slack_us later.
+            self.eng.schedule(
+                self.eng.now + self.cfg.ack_slack_us,
+                target,
+                self._ack_timeout,
+                (target, packet, idx),
+            )
 
     def _ack_received(self, node: int, final: bool, packet: Packet, idx: int) -> None:
         self._pending[node] = None
-        self._pending_kind[node] = None
         self._retry_key[node] = None
         self._retries[node] = 0
-        now = self.eng.now
-        if packet.klass == EMERGENCY:
-            self._emq[node].popleft()
-            self.metrics.record_delivery(packet, now)
-            if self.eng.trace is not None:
-                self.eng.trace(now, node, "delivery", f"id={packet.pid} class={EMERGENCY} delay={now - packet.gen_time}")
-        elif final:
-            self._nq[node].popleft()
-            self._frags[node] = None
-            self._frag_idx[node] = 0
-            self.metrics.record_delivery(packet, now)
-            if self.eng.trace is not None:
-                self.eng.trace(now, node, "delivery", f"id={packet.pid} class={NORMAL} delay={now - packet.gen_time}")
+        if final:
+            self._deliver(node, packet)
+            self._next_packet(node, packet)
         else:
             self._frag_idx[node] = idx + 1
-            self._start_attempt(node, now + self.cfg.fragment_gap_us)
-            return
-        if self._emq[node] or self._nq[node]:
-            self._start_attempt(node, now)
-        else:
-            self._set_state(node, IDLE)
+            self._start_attempt(node, self.eng.now + self.cfg.fragment_gap_us)
 
     def _ack_timeout(self, arg) -> None:
         node, packet, idx = arg
         self._pending[node] = None
-        self._pending_kind[node] = None
         key = (packet.pid, idx)
         if self._retry_key[node] == key:
             self._retries[node] += 1
@@ -330,18 +299,16 @@ class FrogMac(ArrivalProcess):
         if self._retries[node] > self.cfg.frog_max_retries:
             self._retry_key[node] = None
             self._retries[node] = 0
-            if packet.klass == EMERGENCY:
-                self._emq[node].popleft()
-            else:
-                self._nq[node].popleft()
-                self._frags[node] = None
-                self._frag_idx[node] = 0
-            self.metrics.record_drop(packet)
-            if self.eng.trace is not None:
-                self.eng.trace(self.eng.now, node, "drop", f"id={packet.pid} class={packet.klass}")
-            if self._emq[node] or self._nq[node]:
-                self._start_attempt(node, self.eng.now)
-            else:
-                self._set_state(node, IDLE)
+            self._drop(node, packet)
+            self._next_packet(node, packet)
         else:
             self._start_attempt(node, self.eng.now)
+
+    def _next_packet(self, node: int, gone: Packet) -> None:
+        """Move on from a packet that has left its queue: the next packet, or IDLE."""
+        if gone.klass == NORMAL:
+            self._frags[node] = None  # the next normal packet gets a fresh cursor
+        if self._emq[node] or self._nq[node]:
+            self._start_attempt(node, self.eng.now)
+        else:
+            self._set_state(node, IDLE)

@@ -1,5 +1,5 @@
-"""Two-class periodic traffic over a star topology, and the arrival
-process both MACs share.
+"""Two-class periodic traffic over a star topology, and the arrival,
+delivery and drop of packets that both MACs share.
 
 Every member node reports monitoring data on a fixed interval; a chosen
 subset additionally raises emergency events on a longer interval. Each
@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .config import SimConfig
-from .engine import PHASE_STREAM_OFFSET, POPULATION_STREAM, Engine, substream
+from .engine import PHASE_STREAM_OFFSET, POPULATION_STREAM, Engine, ProtocolBug, substream
 
 NORMAL = "NORMAL"
 EMERGENCY = "EMERGENCY"
@@ -97,6 +97,8 @@ class ArrivalProcess:
     once the new packet is queued and the node's next arrival of that class
     is scheduled. Arrival events belong to the arriving node, and each one
     fires at its scheduled time, so the next arrival is one interval on.
+    A packet leaves its queue only through _deliver or _drop, and only
+    from the head of its class queue.
     """
 
     def __init__(self, eng: Engine, nodes: list[NodeConfig], metrics, cfg: SimConfig):
@@ -108,6 +110,7 @@ class ArrivalProcess:
         n = max(nc.node_id for nc in nodes) + 1
         self._emq = [deque() for _ in range(n)]
         self._nq = [deque() for _ in range(n)]
+        self._queues = {EMERGENCY: self._emq, NORMAL: self._nq}
         # Next scheduled arrival per node; inf for the sink, and for the
         # emergencies of non-detectors.
         self._next_norm = [math.inf] * n
@@ -146,3 +149,30 @@ class ArrivalProcess:
         t = self._next_em[node] = self.eng.now + self.cfg.emergency_interval_us
         self.eng.schedule(t, node, self._arrival_emergency, node)
         self.on_arrival(node, EMERGENCY)
+
+    def _pop_head(self, node: int, packet: Packet) -> None:
+        q = self._queues[packet.klass][node]
+        if not q or q[0] is not packet:
+            raise ProtocolBug(
+                f"packet {packet.pid} is not the head of node {node}'s {packet.klass} queue"
+            )
+        q.popleft()
+
+    def _deliver(self, node: int, packet: Packet) -> None:
+        """Take a packet the sink has acknowledged off its queue and record it."""
+        self._pop_head(node, packet)
+        eng = self.eng
+        now = eng.now
+        self.metrics.record_delivery(packet, now)
+        if eng.trace is not None:
+            eng.trace(
+                now, node, "delivery",
+                f"id={packet.pid} class={packet.klass} delay={now - packet.gen_time}",
+            )
+
+    def _drop(self, node: int, packet: Packet) -> None:
+        """Take a packet that ran out of retries off its queue and record it."""
+        self._pop_head(node, packet)
+        self.metrics.record_drop(packet)
+        if self.eng.trace is not None:
+            self.eng.trace(self.eng.now, node, "drop", f"id={packet.pid} class={packet.klass}")

@@ -89,21 +89,19 @@ def test_schedule_in_past_is_a_bug():
         eng.schedule(-1, 1, lambda a: None)
 
 
-def test_after_is_relative_to_now():
-    eng = Engine(duration_us=1000)
-    seen = []
-    def first(_):
-        eng.after(50, 1, lambda _a: seen.append(eng.now))
-    eng.schedule(100, 1, first)
-    eng.run()
-    assert seen == [150]
-
-
 # -- collision channel ----------------------------------------------------
 
 def collect_endings(eng):
     ended = []
-    eng.add_end_listener(lambda tx, corrupted: ended.append((tx.src, tx.kind, corrupted)))
+    begin_tx = eng.begin_tx
+
+    def record(tx, corrupted):
+        ended.append((tx.src, tx.kind, corrupted))
+
+    def recorded_begin_tx(src, nbytes, kind, on_end=None, meta=None, label=""):
+        return begin_tx(src, nbytes, kind, record, meta, label)
+
+    eng.begin_tx = recorded_begin_tx
     return ended
 
 

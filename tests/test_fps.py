@@ -413,9 +413,9 @@ def test_scored_residual_energy_matches_the_frame_count(seed, duration, monkeypa
     txs = []
     begin_tx = eng.begin_tx
 
-    def recorded_begin_tx(src, nbytes, kind, meta=None, label=""):
+    def recorded_begin_tx(src, nbytes, kind, on_end=None, meta=None, label=""):
         txs.append((eng.now, src, kind))
-        return begin_tx(src, nbytes, kind, meta, label)
+        return begin_tx(src, nbytes, kind, on_end, meta, label)
 
     calls = []
     build = priomac.fps.build_frame

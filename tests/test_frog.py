@@ -188,6 +188,57 @@ def test_emergency_preempts_the_gap():
     assert rep.classes[EMERGENCY].mean_us <= 192 + 3 * 160 + 1248 + 352
 
 
+@pytest.mark.parametrize("point", ["ifs", "backoff", "on-air", "ack-wait"])
+def test_an_own_emergency_preempts_only_a_contending_fragment(point):
+    # A lone sender's emergency cancels its own normal fragment while that
+    # fragment still contends (IFS or backoff) and goes after ifs_high plus
+    # a backoff. Once the fragment is on the air, the exchange (frame, then
+    # the sink's ack) finishes first and the emergency takes the next gap.
+    cfg = SimConfig()
+    data_air = tx_duration_us(8 + cfg.header_bytes)
+    ack_air = tx_duration_us(cfg.ack_bytes)
+    max_backoff = (cfg.backoff_slots_high - 1) * cfg.backoff_unit_us
+
+    def run(em_at):
+        rec = []
+        nodes = [NodeConfig(1, 10.0, 10.0, True, 0, em_at)]
+        eng, mac, metrics, ledger = make_mac(
+            nodes, 30_000, trace=lambda t, n, k, d: rec.append((t, n, k, d))
+        )
+        mac.start()
+        eng.run()
+        starts = [(t, d) for t, n, k, d in rec if n == 1 and k == "tx-start"]
+        return rec, starts, metrics.summarize(ledger, 30_000)
+
+    _, alone, _ = run(40_000_000)  # the emergency comes after the run
+    t0 = alone[0][0]
+    assert alone[0][1] == "kind=data-frag id=0 frag=1/5"
+    assert t0 > cfg.ifs_low_us  # seed 1 draws a non-zero first backoff
+    em_at = {
+        "ifs": cfg.ifs_low_us // 2,
+        "backoff": t0 - 1,
+        "on-air": t0 + data_air // 2,
+        "ack-wait": t0 + data_air + ack_air // 2,
+    }[point]
+    rec, starts, rep = run(em_at)
+    assert rep.classes[EMERGENCY].delivered == 1
+    if point in ("ifs", "backoff"):
+        assert starts[0][1] == "kind=data-whole id=1"
+        lo = em_at + cfg.ifs_high_us
+        assert lo <= starts[0][0] <= lo + max_backoff
+        assert starts[1][1] == "kind=data-frag id=0 frag=1/5"
+    else:
+        assert starts[0] == alone[0]
+        frag_end = t0 + data_air
+        ack_end = frag_end + ack_air
+        assert (frag_end, 1, "tx-end", "kind=data-frag id=0 frag=1/5 corrupted=0") in rec
+        assert (ack_end, SINK, "tx-end", "kind=ack to=1 id=0 corrupted=0") in rec
+        assert starts[1][1] == "kind=data-whole id=1"
+        lo = ack_end + cfg.fragment_gap_us + cfg.ifs_high_us
+        assert lo <= starts[1][0] <= lo + max_backoff
+        assert starts[2][1] == "kind=data-frag id=0 frag=2/5"
+
+
 def test_a_normal_arrival_leaves_a_contending_normal_attempt_alone():
     # Packets arrive every 500 us, inside the 1000 us low-priority IFS; only
     # an emergency may restart a normal attempt that is still contending.
@@ -237,14 +288,17 @@ def run_jammed(target):
     eng, mac, metrics, ledger = make_mac(nodes, 400_000, trace=trace)
     mac.start()
 
+    on_data_end = mac._on_data_end
+
     def jam(tx, corrupted):
-        # Runs after the MAC's own listener, so the sink's ack is already
+        # Runs after the MAC's own handler, so the sink's ack is already
         # on the air; starting now guarantees the overlap.
+        on_data_end(tx, corrupted)
         if tx.src == 1 and tx.kind == "data-frag" and not corrupted:
             eng.begin_tx(99, 11, "noise")
 
     if target == "ack":
-        eng.add_end_listener(jam)
+        mac._on_data_end = jam
     eng.run()
     return rec, metrics.summarize(ledger, 400_000)
 

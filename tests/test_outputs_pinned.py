@@ -1,0 +1,68 @@
+"""Traces and sweep files pinned by SHA-256 digest.
+
+The simulator's contract is its output: a refactor must leave every trace
+and every sweep CSV/.dat byte for byte as it was. These digests were taken
+before the end-handler and single-packet-exit refactor of the engine and
+both MACs. A change that alters the model on purpose updates them here and
+says in CHANGES.md which outputs changed and why.
+"""
+
+import hashlib
+
+import pytest
+
+from priomac.config import SimConfig
+from priomac.harness import emit_trace, run_sweep
+
+TRACE_BASE = dict(duration_s=40.0, n_emergency=6, seed=2)
+
+TRACES = {
+    "frog-fs2": (
+        dict(protocol="frog", fragment_size=2),
+        "d6abf389afb489228344b11c6ca8469f9f70dbce4acff589c0d1f7a7ba56bc25",
+    ),
+    "frog-fs8": (
+        dict(protocol="frog", fragment_size=8),
+        "322d00acc2dab0006ce2675b28b38f7fcc0a705865b31b6b84593a73f9655835",
+    ),
+    "frog-fs34": (
+        dict(protocol="frog", fragment_size=34),
+        "6f26c0758399b80ee58e4705eb55d95c4c1dd2235225e6098fc3d6c67ec2b0ec",
+    ),
+    "fps": (
+        dict(protocol="fps"),
+        "93e7a4f438fcb02550c473500105e2650315c11e9d75b797b51594cc577d3393",
+    ),
+    "fps-0.3s": (
+        dict(protocol="fps", normal_interval_s=0.3),
+        "067f40a98b07bb230c3c68b59a8133bdfefc95e6bb7db423e97e200a5d5c73a4",
+    ),
+    "frog-fs2-18det-0.3s": (
+        dict(protocol="frog", fragment_size=2, n_emergency=18, normal_interval_s=0.3),
+        "bbcfa9f97bb7797fb2723d5eedf4c1ead27e93eaecc79a2323be792d0a1c6aaa",
+    ),
+}
+
+FIG5_CSV = "c7313f0258e62bd1db45d321654e376cfc44d664cc7e9d609a7d55b4169254ce"
+FIG5_DAT = "6e00c4805f31d93443f795a2cd474d459104a117af2f8ea112c0aa7baf983d38"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_trace_is_pinned(name, tmp_path):
+    overrides, digest = TRACES[name]
+    cfg = SimConfig(**{**TRACE_BASE, **overrides})
+    path = tmp_path / "run.trace"
+    emit_trace(cfg, str(path))
+    assert sha256(path) == digest
+
+
+def test_fig5_sweep_is_pinned(tmp_path):
+    run_sweep(
+        "fig5", SimConfig(duration_s=100.0), str(tmp_path), seeds=[1, 2]
+    )
+    assert sha256(tmp_path / "fig5.csv") == FIG5_CSV
+    assert sha256(tmp_path / "fig5.dat") == FIG5_DAT

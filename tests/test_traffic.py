@@ -1,8 +1,11 @@
-"""Population construction."""
+"""Population construction, and the packet exit both MACs share."""
 
 import pytest
+from test_fps import make_fps
+from test_frog import make_mac
 
-from priomac.traffic import build_population
+from priomac.engine import ProtocolBug
+from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet, build_population
 
 
 def test_population_shape_and_bounds():
@@ -53,3 +56,28 @@ def test_node_identity_stable_across_detector_count():
         assert (na.x, na.y) == (nb.x, nb.y)
         assert na.normal_phase_us == nb.normal_phase_us
         assert na.emergency_phase_us == nb.emergency_phase_us
+
+
+# -- packet exit -------------------------------------------------------------
+
+@pytest.mark.parametrize("exit_name", ["_deliver", "_drop"])
+@pytest.mark.parametrize("make", [make_mac, make_fps], ids=["frog", "fps"])
+def test_a_packet_leaves_only_from_its_queue_head(make, exit_name):
+    eng, mac, metrics, ledger = make([NodeConfig(1, 10.0, 10.0, True, 0, 0)], 10_000)
+    eng.now = 5_000
+    head = Packet(0, 1, NORMAL, 0, 34)
+    second = Packet(1, 1, NORMAL, 0, 34)
+    stray = Packet(2, 1, EMERGENCY, 0, 34)  # its class queue is empty
+    for packet in (head, second, stray):
+        metrics.record_generated(packet)
+    mac._nq[1].extend([head, second])
+    before = metrics.summarize(ledger, 10_000)
+    leave = getattr(mac, exit_name)
+    for packet in (second, stray):
+        with pytest.raises(ProtocolBug):
+            leave(1, packet)
+        assert list(mac._nq[1]) == [head, second] and not mac._emq[1]
+        assert metrics.summarize(ledger, 10_000) == before
+    leave(1, head)
+    assert list(mac._nq[1]) == [second]
+    assert metrics.summarize(ledger, 10_000) != before
