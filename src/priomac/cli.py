@@ -70,11 +70,7 @@ def _print_report(report) -> None:
     )
 
 
-def _cmd_run(args) -> int:
-    cfg = _effective_config(args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def _cmd_run(args, cfg: SimConfig) -> int:
     report = run_once(cfg)
     print(f"protocol={cfg.protocol} seed={cfg.seed} duration_s={cfg.duration_s} backend={BACKEND}")
     _print_report(report)
@@ -86,11 +82,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _effective_config(args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def _cmd_sweep(args, cfg: SimConfig) -> int:
     seeds = range(1, args.seeds + 1)
     csv_path, dat_path = run_sweep(
         args.experiment, cfg, args.out, seeds=seeds, jobs=args.jobs
@@ -100,11 +92,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    cfg = _effective_config(args)
-    if args.print_config:
-        _print_config(cfg)
-        return 0
+def _cmd_trace(args, cfg: SimConfig) -> int:
     report = emit_trace(cfg, args.out)
     print(args.out)
     _print_report(report)
@@ -141,7 +129,11 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        cfg = _effective_config(args)
+        if args.print_config:
+            _print_config(cfg)
+            return 0
+        return args.fn(args, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

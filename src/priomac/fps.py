@@ -11,19 +11,20 @@ over intra-cluster distance, residual energy, and slots required, with
 the emergency bit composed crisply on top.
 
 Members sleep outside the EIS, the control period, and their own slot;
-the cluster head (node 0, the sink) listens for the whole frame. The
-baseline energy of a frame is accrued arithmetically, not by events,
-which lets runs without queued traffic fast-forward across empty frames
-without touching RNG or channel state. A skip of k frames accrues their
-baseline in closed form, k times one frame's budget in integer
-microseconds, so it is observably identical to processing each frame.
+the cluster head (node 0, the sink) listens for the whole frame except
+while it broadcasts the schedule. Frames start on the grid k*frame_len,
+so this baseline over [0, t) is a closed form of t (FrameGeometry), and
+so are a frame's index and the next frame worth running. Runs without
+queued traffic therefore fast-forward across empty frames without
+touching RNG, channel state or energy.
 
-Every member has the same baseline, so it is kept once, as running
-totals, and a member's ledger takes its share only when it is read: by
-the control period, for the residual energy of each claimant, and by
-finish(). Slot activity is charged to the ledger as it happens. The MAC
-also keeps the set of members holding packets, so a frame costs the
-number of its claimants, not the number of members.
+A member's ledger takes its baseline only when it is read: by the
+control period, for the residual energy of each claimant, and by
+finish(). The ledger holds integer microseconds, so settling late adds
+the same integers as settling every frame. Slot activity is charged to
+the ledger as it happens. The MAC also keeps the set of members holding
+packets, so a frame costs the number of its claimants, not the number
+of members.
 
 Every random draw belongs to one member and comes from that member's own
 substream: its EIS persistence coin, and the loss of an ack addressed to
@@ -62,6 +63,16 @@ class FrameGeometry:
         self.slot_len = self.data_air + self.ack_air + guard
         self.data_offset = self.eis_len + self.ctrl_len
         self.frame_len = self.data_offset + cfg.slots_per_frame * self.slot_len
+
+    def member_awake_us(self, t: int) -> int:
+        """A member's baseline awake (RX) us over [0, t): each frame's EIS and control period."""
+        k, r = divmod(t, self.frame_len)
+        return k * self.data_offset + min(r, self.data_offset)
+
+    def sink_tx_us(self, t: int) -> int:
+        """The cluster head's baseline TX us over [0, t): each frame's schedule broadcast."""
+        k, r = divmod(t, self.frame_len)
+        return k * self.sched_air + min(max(r - self.eis_len, 0), self.sched_air)
 
     def slot_span(self, frame_start: int, i: int) -> tuple[int, int]:
         s = frame_start + self.data_offset + i * self.slot_len
@@ -187,24 +198,13 @@ class FpsMac(ArrivalProcess):
         }
 
         n = len(self._nq)
-        # Frames each member's class head has failed in, by class.
-        self._retries = {EMERGENCY: [0] * n, NORMAL: [0] * n}
         self._rng = [substream(cfg.seed, i) for i in range(n)]
         # Members with a non-empty queue: the claimants of the next frame.
         self._holding = set()
-        # Baseline accrued so far: each member's awake and asleep us, which
-        # a member's ledger holds up to _settled_*[m], and the cluster
-        # head's RX and TX us not yet in its ledger.
-        self._awake_us = 0
-        self._asleep_us = 0
-        self._settled_awake = [0] * n
-        self._settled_asleep = [0] * n
-        self._sink_rx_us = 0
-        self._sink_tx_us = 0
+        # The time up to which each member's ledger holds its baseline.
+        self._settled = [0] * n
 
         # Per-frame state; only one frame is in flight at a time.
-        self._frame_t = 0
-        self._frame_idx = 0
         self._mode = MODE_PERIODIC
         self._snapshot = {}
         self._contenders = []
@@ -218,16 +218,16 @@ class FpsMac(ArrivalProcess):
         self.eng.schedule(0, SINK, self._frame_start, None)
 
     def finish(self) -> None:
-        """Bring every ledger up to date with the baseline accrued so far.
+        """Add every node's baseline up to the run's end to its ledger.
 
-        Frame accruals tile [0, duration), so afterwards each node's
-        states sum to the run's duration.
+        Afterwards each node's states sum to the run's duration.
         """
+        d = self.eng.duration_us
         for m in self.member_ids:
-            self._settle(m)
-        self.ledger.add(SINK, RX, self._sink_rx_us)
-        self.ledger.add(SINK, TX, self._sink_tx_us)
-        self._sink_rx_us = self._sink_tx_us = 0
+            self._settle(m, d)
+        tx = self.geom.sink_tx_us(d)
+        self.ledger.add(SINK, RX, d - tx)
+        self.ledger.add(SINK, TX, tx)
 
     # -- energy ---------------------------------------------------------
 
@@ -237,43 +237,13 @@ class FpsMac(ArrivalProcess):
             e = d
         return e - s if e > s else 0
 
-    def _accrue_baseline(self, f: int, k: int = 1) -> None:
-        """Baseline radio budget for the k frames from f, clipped to the run.
-
-        Every frame starts before the run's end. The frames that end by
-        then accrue in closed form, k at once; only a frame that the end
-        clips goes through _span. The budget goes to the running totals,
-        not to the ledger (see _settle). The ledger holds integer
-        microseconds, so this equals accruing each frame in turn.
-        """
-        g = self.geom
-        whole = (self.eng.duration_us - f) // g.frame_len
-        if whole > k:
-            whole = k
-        awake = whole * g.data_offset
-        asleep = whole * (g.frame_len - g.data_offset)
-        # CH: listens all frame except while broadcasting the schedule.
-        sink_rx = whole * (g.frame_len - g.sched_air)
-        sink_tx = whole * g.sched_air
-        if whole < k:
-            c = f + whole * g.frame_len
-            awake += self._span(c, c + g.data_offset)
-            asleep += self._span(c + g.data_offset, c + g.frame_len)
-            ctrl = c + g.eis_len
-            sink_rx += self._span(c, ctrl) + self._span(ctrl + g.sched_air, c + g.frame_len)
-            sink_tx += self._span(ctrl, ctrl + g.sched_air)
-        self._awake_us += awake
-        self._asleep_us += asleep
-        self._sink_rx_us += sink_rx
-        self._sink_tx_us += sink_tx
-
-    def _settle(self, m: int) -> None:
-        """Add to member m's ledger the baseline accrued since it was last settled."""
-        add = self.ledger.add
-        add(m, RX, self._awake_us - self._settled_awake[m])
-        add(m, SLEEP, self._asleep_us - self._settled_asleep[m])
-        self._settled_awake[m] = self._awake_us
-        self._settled_asleep[m] = self._asleep_us
+    def _settle(self, m: int, t: int) -> None:
+        """Add member m's baseline from where its ledger holds it up to t."""
+        t0 = self._settled[m]
+        awake = self.geom.member_awake_us(t) - self.geom.member_awake_us(t0)
+        self.ledger.add(m, RX, awake)
+        self.ledger.add(m, SLEEP, t - t0 - awake)
+        self._settled[m] = t
 
     def _adjust(self, node: int, from_state: int, to_state: int, s: int, e: int) -> None:
         dt = self._span(s, e)
@@ -303,8 +273,6 @@ class FpsMac(ArrivalProcess):
             if ne:
                 contenders.append(m)
 
-        self._accrue_baseline(f)
-        self._frame_t = f
         self._snapshot = snapshot
         self._contenders = contenders
         self._mode = MODE_PERIODIC
@@ -320,45 +288,39 @@ class FpsMac(ArrivalProcess):
         if self.eng.trace is not None:
             self.eng.trace(
                 f, SINK, "eis",
-                f"idx={self._frame_idx} contenders={len(contenders)} transmitters={len(transmitters)}",
+                f"idx={f // self.geom.frame_len} contenders={len(contenders)} transmitters={len(transmitters)}",
             )
         if transmitters:
             self.eng.schedule(f + self.cfg.cca_us, SINK, self._eis_transmit, None)
         self.eng.schedule(f + self.geom.eis_len, SINK, self._control, None)
 
         nxt = f + self.geom.frame_len
-        self._frame_idx += 1
         if nxt < self.eng.duration_us:
             self.eng.schedule(nxt, SINK, self._frame_start, None)
 
     def _fast_forward(self, f: int) -> None:
         """Skip frames that provably do nothing: no queued data at their start.
 
-        Such frames draw no randomness and put nothing on the air, so only
-        their baseline energy needs accruing. Arrivals inside a skipped
-        span belong to the first frame starting at or after them anyway
-        (claims are snapshotted at frame start).
+        Such frames draw no randomness and put nothing on the air, and their
+        baseline is a closed form of time. Arrivals inside a skipped span
+        belong to the first frame starting at or after them anyway (claims
+        are snapshotted at frame start).
         """
-        g = self.geom
+        frame_len = self.geom.frame_len
         d = self.eng.duration_us
         ta = min(min(self._next_norm), min(self._next_em))
-        # Frames from f that start before the run's end.
-        k = (d - f + g.frame_len - 1) // g.frame_len
         if ta < d:
-            k_ta = (ta - f + g.frame_len - 1) // g.frame_len
-            k = min(k, max(k_ta, 1))
-        self._accrue_baseline(f, k)
-        self._frame_idx += k
-        nxt = f + k * g.frame_len
-        if nxt < d:
-            self.eng.schedule(nxt, SINK, self._frame_start, None)
+            # The first frame starting at or after ta, and never f itself.
+            nxt = f + max(-(-(ta - f) // frame_len), 1) * frame_len
+            if nxt < d:
+                self.eng.schedule(nxt, SINK, self._frame_start, None)
 
     def _eis_transmit(self, _arg) -> None:
-        start = self._frame_t + self.cfg.cca_us
+        start = self.eng.now
         end = start + self.geom.ind_air
         for m in self._transmitters:
             self._adjust(m, RX, TX, start, end)
-            label = f" idx={self._frame_idx - 1}" if self.eng.trace is not None else ""
+            label = f" idx={start // self.geom.frame_len}" if self.eng.trace is not None else ""
             self.eng.begin_tx(
                 m, self.cfg.indication_bytes, self.IND, self._on_ind_end, m, label
             )
@@ -389,8 +351,11 @@ class FpsMac(ArrivalProcess):
         self._eis_outcome = f"winner={winner}"
 
     def _control(self, _arg) -> None:
-        f = self._frame_t
-        idx = self._frame_idx - 1
+        f = self.eng.now - self.geom.eis_len
+        idx = f // self.geom.frame_len
+        # A claimant's residual energy counts this whole frame's baseline,
+        # clipped to the run.
+        end = min(f + self.geom.frame_len, self.eng.duration_us)
         mode = self._mode
         # Contenders that did not unlock emergency mode burn one retry frame.
         if mode != MODE_EMERGENCY:
@@ -402,7 +367,7 @@ class FpsMac(ArrivalProcess):
             total = ne + nn
             if total > self.cfg.slots_per_frame:
                 total = self.cfg.slots_per_frame
-            self._settle(m)
+            self._settle(m, end)
             residual = self.initial_energy_uj - self.ledger.energy_uj(m)
             requests[m] = SlotRequest(
                 FuzzyInputs(self._dist[m], residual, total, 1 if ne else 0),
@@ -479,7 +444,6 @@ class FpsMac(ArrivalProcess):
             self._bump_retry(node, packet.klass)
             return
         self._deliver(node, packet)
-        self._retries[packet.klass][node] = 0
         self._release(node)
 
     # -- retry bookkeeping -------------------------------------------------
@@ -491,9 +455,5 @@ class FpsMac(ArrivalProcess):
 
     def _bump_retry(self, node: int, klass: str) -> None:
         """Count one failed frame for node's klass head; drop it past the limit."""
-        retries = self._retries[klass]
-        retries[node] += 1
-        if retries[node] > self.cfg.fps_max_retry_frames:
-            retries[node] = 0
-            self._drop(node, self._queues[klass][node][0])
+        if self._fail(node, self._queues[klass][node][0], self.cfg.fps_max_retry_frames):
             self._release(node)

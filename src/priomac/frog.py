@@ -8,7 +8,8 @@ can never cut into someone else's gap. Emergency packets go out whole.
 
 The sink (node 0) acknowledges every clean frame; a sender that misses an
 ack retries the same frame after re-contending, and drops the packet
-after frog_max_retries consecutive failures.
+after frog_max_retries consecutive failures of one frame. An emergency
+exchange in between neither renews nor spends a fragment's budget.
 """
 
 from __future__ import annotations
@@ -114,8 +115,6 @@ class FrogMac(ArrivalProcess):
         n = len(self._nq)
         self._frags = [None] * n
         self._frag_idx = [0] * n
-        self._retry_key = [None] * n
-        self._retries = [0] * n
         self._pending = [None] * n
         self._attempt_class = [None] * n
         self._sense_from = [0] * n
@@ -239,7 +238,7 @@ class FrogMac(ArrivalProcess):
                 tx.end + self.ack_air_us + self.cfg.ack_slack_us,
                 node,
                 self._ack_timeout,
-                (node, packet, idx),
+                (node, packet),
             )
             return
         # The sink acks at once, and the ack's end settles the wait.
@@ -273,33 +272,23 @@ class FrogMac(ArrivalProcess):
                 self.eng.now + self.cfg.ack_slack_us,
                 target,
                 self._ack_timeout,
-                (target, packet, idx),
+                (target, packet),
             )
 
     def _ack_received(self, node: int, final: bool, packet: Packet, idx: int) -> None:
         self._pending[node] = None
-        self._retry_key[node] = None
-        self._retries[node] = 0
         if final:
             self._deliver(node, packet)
             self._next_packet(node, packet)
         else:
+            self._retries[NORMAL][node] = 0  # each fragment gets its own budget
             self._frag_idx[node] = idx + 1
             self._start_attempt(node, self.eng.now + self.cfg.fragment_gap_us)
 
     def _ack_timeout(self, arg) -> None:
-        node, packet, idx = arg
+        node, packet = arg
         self._pending[node] = None
-        key = (packet.pid, idx)
-        if self._retry_key[node] == key:
-            self._retries[node] += 1
-        else:
-            self._retry_key[node] = key
-            self._retries[node] = 1
-        if self._retries[node] > self.cfg.frog_max_retries:
-            self._retry_key[node] = None
-            self._retries[node] = 0
-            self._drop(node, packet)
+        if self._fail(node, packet, self.cfg.frog_max_retries):
             self._next_packet(node, packet)
         else:
             self._start_attempt(node, self.eng.now)

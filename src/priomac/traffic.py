@@ -1,5 +1,5 @@
 """Two-class periodic traffic over a star topology, and the arrival,
-delivery and drop of packets that both MACs share.
+retry budget, delivery and drop of packets that both MACs share.
 
 Every member node reports monitoring data on a fixed interval; a chosen
 subset additionally raises emergency events on a longer interval. Each
@@ -98,7 +98,8 @@ class ArrivalProcess:
     is scheduled. Arrival events belong to the arriving node, and each one
     fires at its scheduled time, so the next arrival is one interval on.
     A packet leaves its queue only through _deliver or _drop, and only
-    from the head of its class queue.
+    from the head of its class queue. Each class head has one retry
+    budget, counted by _fail and renewed when the head leaves.
     """
 
     def __init__(self, eng: Engine, nodes: list[NodeConfig], metrics, cfg: SimConfig):
@@ -111,6 +112,8 @@ class ArrivalProcess:
         self._emq = [deque() for _ in range(n)]
         self._nq = [deque() for _ in range(n)]
         self._queues = {EMERGENCY: self._emq, NORMAL: self._nq}
+        # Failed attempts of each node's class head, by class.
+        self._retries = {EMERGENCY: [0] * n, NORMAL: [0] * n}
         # Next scheduled arrival per node; inf for the sink, and for the
         # emergencies of non-detectors.
         self._next_norm = [math.inf] * n
@@ -157,6 +160,16 @@ class ArrivalProcess:
                 f"packet {packet.pid} is not the head of node {node}'s {packet.klass} queue"
             )
         q.popleft()
+        self._retries[packet.klass][node] = 0
+
+    def _fail(self, node: int, packet: Packet, limit: int) -> bool:
+        """Count one failed attempt of a class head; past limit, drop it and say so."""
+        retries = self._retries[packet.klass]
+        retries[node] += 1
+        if retries[node] <= limit:
+            return False
+        self._drop(node, packet)
+        return True
 
     def _deliver(self, node: int, packet: Packet) -> None:
         """Take a packet the sink has acknowledged off its queue and record it."""

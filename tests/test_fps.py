@@ -16,7 +16,7 @@ from priomac.fps import (
     build_frame,
 )
 from priomac.fuzzy import priority_score
-from priomac.metrics import EnergyLedger, MetricsCollector
+from priomac.metrics import RX, SLEEP, TX, EnergyLedger, MetricsCollector
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, build_population
 
 
@@ -42,6 +42,24 @@ def test_slot_spans_tile_the_data_region():
     assert GEOM.slot_span(100, 19) == (100 + 3568 + 19 * 2600, 100 + GEOM.frame_len)
     for i in range(19):
         assert GEOM.slot_span(0, i)[1] == GEOM.slot_span(0, i + 1)[0]
+
+
+def test_baseline_closed_forms_match_a_per_frame_sum():
+    # Within 2 us of every edge of a frame's parts, over three frames.
+    g = GEOM
+
+    def per_frame(t):
+        awake = sched = 0
+        for f in range(0, t, g.frame_len):
+            awake += min(t, f + g.data_offset) - f
+            sched += max(0, min(t, f + g.eis_len + g.sched_air) - (f + g.eis_len))
+        return awake, sched
+
+    edges = (0, g.eis_len, g.eis_len + g.sched_air, g.data_offset)
+    for f in range(0, 4 * g.frame_len, g.frame_len):
+        for edge in edges:
+            for t in range(max(f + edge - 2, 0), f + edge + 3):
+                assert (g.member_awake_us(t), g.sink_tx_us(t)) == per_frame(t), t
 
 
 def test_guard_must_cover_a_cca():
@@ -241,6 +259,78 @@ def test_energy_states_close_on_the_duration():
         assert sum(ledger.state_us(node)) == duration
 
 
+def oracle_state_us(geom, duration, node_ids, rec):
+    """Each node's (TX, RX, IDLE, SLEEP) us, counted frame by frame and from the trace.
+
+    Every frame gives each member its awake (EIS and control period) and
+    asleep budget and the cluster head its schedule broadcast, clipped to
+    the run. Each indication, data frame and ack in the trace then moves
+    its airtime, clipped as well.
+    """
+    def clip(s, e):
+        return max(0, min(e, duration) - s)
+
+    awake = sched = 0
+    for f in range(0, duration, geom.frame_len):
+        awake += clip(f, f + geom.data_offset)
+        sched += clip(f + geom.eis_len, f + geom.eis_len + geom.sched_air)
+    states = {m: [0, awake, 0, duration - awake] for m in node_ids}
+    states[SINK] = [sched, duration - sched, 0, 0]
+
+    def move(node, src, dst, s, e):
+        states[node][src] -= clip(s, e)
+        states[node][dst] += clip(s, e)
+
+    for t, n, k, d in rec:
+        kind = d.split()[0].removeprefix("kind=") if k == "tx-start" else None
+        if kind == FpsMac.IND:
+            move(n, RX, TX, t, t + geom.ind_air)
+        elif kind == FpsMac.DATA:
+            move(n, SLEEP, TX, t, t + geom.data_air)
+            move(n, SLEEP, RX, t + geom.data_air, t + geom.data_air + geom.ack_air)
+        elif kind in (FpsMac.EIS_ACK, FpsMac.ACK):
+            move(SINK, RX, TX, t, t + geom.ack_air)
+    return {n: tuple(v) for n, v in states.items()}
+
+
+LAST = 40  # the frame the runs below end in or after
+# Member 2's emergency wins frame LAST's EIS and rides slot 0, member 1's
+# packet slot 1; members 3 and 4 send early, before empty frames that an
+# untraced run fast-forwards.
+ENDINGS = [
+    member(1, normal_phase=(LAST - 1) * FRAME + 100),
+    member(2, emergency=True, em_phase=(LAST - 1) * FRAME + 200),
+    member(3, normal_phase=5000),
+    member(4, emergency=True, em_phase=10 * FRAME),
+]
+
+
+@pytest.mark.parametrize("offset", [
+    300,                                      # in the indication
+    600,                                      # in the EIS ack
+    GEOM.eis_len,                             # on the schedule broadcast's start
+    2000,                                     # in the schedule broadcast
+    GEOM.eis_len + GEOM.sched_air,            # on its end
+    3000,                                     # in the control guard
+    GEOM.data_offset + 1000,                  # in slot 0's data frame
+    GEOM.data_offset + GEOM.data_air + 100,   # in slot 0's ack
+    GEOM.data_offset + GEOM.slot_len + 500,   # in slot 1's data frame
+    FRAME - 1,
+    FRAME,
+    FRAME + 1,
+], ids=["indication", "eis-ack", "sched-start", "sched", "sched-end", "guard",
+        "slot0-data", "slot0-ack", "slot1-data", "frames-1", "frames", "frames+1"])
+def test_every_nodes_energy_matches_the_frame_arithmetic(offset):
+    # The untraced run fast-forwards; the traced one starts every frame.
+    duration = LAST * FRAME + offset
+    rep, rec, _ = run_fps(ENDINGS, duration, eis_persistence=1.0, ack_loss_p=0.0)
+    assert (LAST * FRAME + 128, 2, "tx-start", f"kind=indication idx={LAST}") in rec
+    expected = oracle_state_us(GEOM, duration, [m.node_id for m in ENDINGS], rec)
+    assert rep.node_state_us == expected
+    plain = run_untraced(ENDINGS, duration, eis_persistence=1.0, ack_loss_p=0.0)
+    assert plain.node_state_us == expected
+
+
 def test_trace_does_not_change_the_outcome():
     # The empty-frame fast-forward only runs untraced; reports must agree.
     nodes = [member(1, normal_phase=5000), member(2, emergency=True, em_phase=90_000),
@@ -280,8 +370,9 @@ RUN_FRAMES = 300  # 16.7 s: every member sends, and detector 4 sends both classe
 ], ids=["k-frames", "k-frames+1", "k-frames-1", "half-frame", "in-control"])
 @pytest.mark.parametrize("seed,ack_loss_p", [(1, 0.01), (2, 0.01), (7, 0.5)])
 def test_fast_forward_matches_frame_by_frame_accrual(duration, seed, ack_loss_p):
-    # A trace turns the fast-forward off, so the traced run accrues every
-    # frame on its own; the untraced one skips empty frames in closed form.
+    # A trace turns the fast-forward off, so the traced run starts every
+    # frame; the untraced one jumps over empty frames. Equal reports show
+    # the fast-forward schedules exactly the frames that have claimants.
     traced, rec, _ = run_fps(SPARSE, duration, seed=seed, ack_loss_p=ack_loss_p)
     assert run_untraced(SPARSE, duration, seed=seed, ack_loss_p=ack_loss_p) == traced
     if duration > FRAME:

@@ -271,12 +271,16 @@ def test_a_clean_exchange_cancels_no_event(monkeypatch):
     assert cancels == []
 
 
-def run_jammed(target):
+def run_jammed(target, em_at=None):
     """A lone sender whose every ack (target "ack") or data frame ("data") is jammed.
 
-    The jammer is node 99, outside the MAC. Returns the trace and the report.
+    The jammer is node 99, outside the MAC. With em_at, the sender's own
+    emergency arrives then; only its fragments' frames are jammed, so the
+    emergency goes through. Returns the trace and the report.
     """
     nodes = lone_sender()
+    if em_at is not None:
+        nodes = [NodeConfig(1, 10.0, 10.0, True, 0, em_at)]
     rec = []
 
     def trace(t, n, k, d):
@@ -305,13 +309,16 @@ def run_jammed(target):
 
 def test_retry_exhaustion_drops_the_packet():
     # A jammer node outside the MAC corrupts every ack, so the sender
-    # burns all 8 retries and abandons the packet on the 9th attempt.
-    rec, rep = run_jammed("ack")
-    assert rep.classes[NORMAL].dropped == 1
-    assert rep.classes[NORMAL].delivered == 0
-    attempts = [1 for _, n, k, d in rec if n == 1 and k == "tx-start" and "frag=1/5" in d]
-    assert len(attempts) == 9  # initial try + max_retries
-    assert any(k == "drop" for _, _, k, _ in rec)
+    # burns all 8 retries and abandons the packet on the 9th attempt. An
+    # emergency of its own, sent clean between two of those attempts,
+    # does not renew the fragment's budget.
+    for em_at in (None, 10_000, 20_000):
+        rec, rep = run_jammed("ack", em_at)
+        assert rep.classes[NORMAL].dropped == 1
+        assert rep.classes[NORMAL].delivered == 0
+        attempts = [1 for _, n, k, d in rec if n == 1 and k == "tx-start" and "frag=1/5" in d]
+        assert len(attempts) == 9  # initial try + max_retries
+        assert any(k == "drop" for _, _, k, _ in rec)
 
 
 @pytest.mark.parametrize("target", ["ack", "data"])

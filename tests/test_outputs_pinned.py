@@ -1,9 +1,11 @@
-"""Traces and sweep files pinned by SHA-256 digest.
+"""Traces, `run --states` reports and sweep files pinned by SHA-256 digest.
 
-The simulator's contract is its output: a refactor must leave every trace
-and every sweep CSV/.dat byte for byte as it was. These digests were taken
-before the end-handler and single-packet-exit refactor of the engine and
-both MACs. A change that alters the model on purpose updates them here and
+The simulator's contract is its output: a refactor must leave every trace,
+every `run --states` report and every sweep CSV/.dat byte for byte as it
+was. The trace and sweep digests were taken before the end-handler and
+single-packet-exit refactor of the engine and both MACs, and the
+`run --states` digests before fps's baseline became a closed form of time.
+A change that alters the model on purpose updates them here and
 says in CHANGES.md which outputs changed and why.
 """
 
@@ -11,6 +13,7 @@ import hashlib
 
 import pytest
 
+from priomac.cli import main
 from priomac.config import SimConfig
 from priomac.harness import emit_trace, run_sweep
 
@@ -47,6 +50,16 @@ FIG5_CSV = "c7313f0258e62bd1db45d321654e376cfc44d664cc7e9d609a7d55b4169254ce"
 FIG5_DAT = "6e00c4805f31d93443f795a2cd474d459104a117af2f8ea112c0aa7baf983d38"
 
 
+# `run --states` reports, at 719 frames plus 2000 us: the run ends inside
+# the last frame's schedule broadcast, so the cluster head's clipped TX span
+# and every member's clipped baseline show in the per-node totals.
+STATES_ARGS = ["--duration-s", "39.955392", "--n-emergency", "6", "--seed", "2"]
+STATES = {
+    "fps": "f1109a3fb18ea9e85809436e069256eddb021402df53116b98ee21c1fcc5170c",
+    "frog": "908009b15b2d54b2616e3ffe1cfe02df617237e4488022b7a7fb841425031862",
+}
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -66,3 +79,10 @@ def test_fig5_sweep_is_pinned(tmp_path):
     )
     assert sha256(tmp_path / "fig5.csv") == FIG5_CSV
     assert sha256(tmp_path / "fig5.dat") == FIG5_DAT
+
+
+@pytest.mark.parametrize("protocol", sorted(STATES))
+def test_run_states_is_pinned(protocol, capsys):
+    assert main(["run", "--states", "--protocol", protocol, *STATES_ARGS]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STATES[protocol]
