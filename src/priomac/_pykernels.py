@@ -34,6 +34,11 @@ class EventQueue:
     def cancel(self, handle):
         self._cancelled.add(handle)
 
+    def peek(self):
+        """The heap top's time, or None: a lower bound, as the top may be cancelled."""
+        heap = self._heap
+        return heap[0][0] if heap else None
+
     def pop(self):
         heap = self._heap
         cancelled = self._cancelled
@@ -50,35 +55,36 @@ class EventQueue:
 class Channel:
     """Single broadcast medium; any overlap in [start, end) corrupts both frames."""
 
-    __slots__ = ("_active", "_next", "_max_done_end")
+    __slots__ = ("_active", "_max_done_end")
 
     def __init__(self):
-        self._active = {}  # handle -> [src, start, end, corrupted]
-        self._next = 0
+        self._active = {}  # src -> [start, end, corrupted]: one frame per sender
         self._max_done_end = None
+
+    def on_air(self, src):
+        """True while src has a frame on the air."""
+        return src in self._active
 
     def begin(self, src, start, end):
         corrupted = 0
         for entry in self._active.values():
-            if entry[2] > start:  # still on air at our first microsecond
-                entry[3] = 1
+            if entry[1] > start:  # still on air at our first microsecond
+                entry[2] = 1
                 corrupted = 1
-        handle = self._next
-        self._next = handle + 1
-        self._active[handle] = [src, start, end, corrupted]
-        return handle
+        self._active[src] = [start, end, corrupted]
 
-    def finish(self, handle):
-        entry = self._active.pop(handle)
-        end = entry[2]
+    def finish(self, src):
+        """Take src's frame off the air; True if anything overlapped it."""
+        entry = self._active.pop(src)
+        end = entry[1]
         if self._max_done_end is None or end > self._max_done_end:
             self._max_done_end = end
-        return bool(entry[3])
+        return bool(entry[2])
 
     def busy_at(self, t):
         """True if some transmission covers instant t (half-open [start, end))."""
         for entry in self._active.values():
-            if entry[1] <= t < entry[2]:
+            if entry[0] <= t < entry[1]:
                 return True
         return False
 
@@ -87,7 +93,7 @@ class Channel:
         if self._max_done_end is not None and self._max_done_end > t0:
             return True
         for entry in self._active.values():
-            if entry[1] < t1 and entry[2] > t0:
+            if entry[0] < t1 and entry[1] > t0:
                 return True
         return False
 
@@ -95,8 +101,8 @@ class Channel:
         """Latest end among transmissions on air; `now` when the channel is clear."""
         t = now
         for entry in self._active.values():
-            if entry[2] > t:
-                t = entry[2]
+            if entry[1] > t:
+                t = entry[1]
         return t
 
 

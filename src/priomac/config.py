@@ -127,9 +127,11 @@ class SimConfig:
                     "ifs_low_us must outlast fragment_gap_us, got "
                     f"{self.ifs_low_us} <= {self.fragment_gap_us}"
                 )
-        elif self.slot_guard_us < self.cca_us:
+        elif self.slot_guard_us <= self.cca_us:
+            # The EIS ack ends slot_guard_us - cca_us before the schedule
+            # broadcast, which must not start while the ack is on the air.
             raise ValueError(
-                f"slot_guard_us must cover one CCA (cca_us = {self.cca_us}), "
+                f"slot_guard_us must outlast one CCA (cca_us = {self.cca_us}), "
                 f"got {self.slot_guard_us}"
             )
 

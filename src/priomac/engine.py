@@ -50,7 +50,6 @@ class Transmission:
     kind: str
     on_end: object  # on_end(tx, corrupted) once it leaves the air, or None
     meta: object
-    handle: int
     label: str
 
 
@@ -69,7 +68,6 @@ class Engine:
         self.queue = EventQueue()
         self.channel = Channel()
         self.trace = trace  # callable(time_us, node, kind, detail) or None
-        self._transmitting: set[int] = set()
         self._airtime: dict[int, int] = {}  # frame bytes -> airtime us
 
     # -- events ---------------------------------------------------------
@@ -89,15 +87,14 @@ class Engine:
     def begin_tx(
         self, src: int, nbytes: int, kind: str, on_end=None, meta=None, label: str = ""
     ) -> Transmission:
-        if src in self._transmitting:
+        if self.channel.on_air(src):
             raise ProtocolBug(f"node {src} is already transmitting")
         air = self._airtime.get(nbytes)
         if air is None:
             air = self._airtime[nbytes] = tx_duration_us(nbytes, self.bitrate_bps)
         end = self.now + air
-        handle = self.channel.begin(src, self.now, end)
-        tx = Transmission(src, self.now, end, kind, on_end, meta, handle, label)
-        self._transmitting.add(src)
+        self.channel.begin(src, self.now, end)
+        tx = Transmission(src, self.now, end, kind, on_end, meta, label)
         if self.trace is not None:
             self.trace(self.now, src, "tx-start", f"kind={kind}{label}")
         # Airtime is at least 1 us, so the end lies in the future.
@@ -105,8 +102,7 @@ class Engine:
         return tx
 
     def _end_tx(self, tx: Transmission) -> None:
-        corrupted = self.channel.finish(tx.handle)
-        self._transmitting.discard(tx.src)
+        corrupted = self.channel.finish(tx.src)
         if self.trace is not None:
             self.trace(
                 self.now, tx.src, "tx-end",

@@ -14,9 +14,10 @@ Members sleep outside the EIS, the control period, and their own slot;
 the cluster head (node 0, the sink) listens for the whole frame except
 while it broadcasts the schedule. Frames start on the grid k*frame_len,
 so this baseline over [0, t) is a closed form of t (FrameGeometry), and
-so are a frame's index and the next frame worth running. Runs without
-queued traffic therefore fast-forward across empty frames without
-touching RNG, channel state or energy.
+so are a frame's index and the next frame worth running: the first one
+at or after the next arrival, whose time is the top of the engine's
+event queue. Runs without queued traffic therefore fast-forward across
+empty frames without touching RNG, channel state or energy.
 
 A member's ledger takes its baseline only when it is read: by the
 control period, for the residual energy of each claimant, and by
@@ -305,10 +306,13 @@ class FpsMac(ArrivalProcess):
         baseline is a closed form of time. Arrivals inside a skipped span
         belong to the first frame starting at or after them anyway (claims
         are snapshotted at frame start).
+        With nothing held, the queue holds only arrivals (every member's
+        next normal one at least), and fps cancels no event, so the queue's
+        top is the next arrival's time.
         """
         frame_len = self.geom.frame_len
         d = self.eng.duration_us
-        ta = min(min(self._next_norm), min(self._next_em))
+        ta = self.eng.queue.peek()
         if ta < d:
             # The first frame starting at or after ta, and never f itself.
             nxt = f + max(-(-(ta - f) // frame_len), 1) * frame_len

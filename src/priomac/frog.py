@@ -116,8 +116,6 @@ class FrogMac(ArrivalProcess):
         self._frags = [None] * n
         self._frag_idx = [0] * n
         self._pending = [None] * n
-        self._attempt_class = [None] * n
-        self._sense_from = [0] * n
         self._state = [IDLE] * n
         self._since = [0] * n
         self._rng = [substream(cfg.seed, i) for i in range(n)]
@@ -153,44 +151,43 @@ class FrogMac(ArrivalProcess):
         if pending is None:
             self._set_state(node, RX)
             self._start_attempt(node, self.eng.now)
-        elif (
-            klass == EMERGENCY
-            and pending != ACK_WAIT
-            and self._attempt_class[node] == NORMAL
-        ):
-            # Preempt our own low-priority contention; the partially sent
-            # packet keeps its cursor and resumes afterwards.
+        elif klass == EMERGENCY and pending != ACK_WAIT and len(self._emq[node]) == 1:
+            # Our only emergency preempts our own normal contention; the
+            # partially sent packet keeps its cursor and resumes afterwards.
             self.eng.cancel(pending)
             self._start_attempt(node, self.eng.now)
 
     # -- channel access -------------------------------------------------
 
+    # While a node contends, its attempt is an emergency exactly when its
+    # emergency queue is non-empty: an emergency arriving during a normal
+    # attempt restarts the attempt, and a packet leaves its queue only at an
+    # ack or an ack timeout, never while its node contends.
+
     def _start_attempt(self, node: int, at: int) -> None:
         if self._emq[node]:
-            klass = EMERGENCY
             ifs = self.cfg.ifs_high_us
         else:
-            klass = NORMAL
             ifs = self.cfg.ifs_low_us
             if self._frags[node] is None:
                 self._frags[node] = fragment(
                     self._nq[node][0], self.fragment_size, self.cfg.header_bytes
                 )
                 self._frag_idx[node] = 0
-        self._attempt_class[node] = klass
-        self._sense_from[node] = at
         self._pending[node] = self.eng.schedule(at + ifs, node, self._cca_done, node)
 
     def _cca_done(self, node: int) -> None:
         eng = self.eng
-        if eng.channel.busy_in(self._sense_from[node], eng.now):
+        cfg = self.cfg
+        if self._emq[node]:
+            ifs, slots = cfg.ifs_high_us, cfg.backoff_slots_high
+        else:
+            ifs, slots = cfg.ifs_low_us, cfg.backoff_slots_low
+        # The sense window is the IFS that ends now.
+        if eng.channel.busy_in(eng.now - ifs, eng.now):
             self._defer(node)
             return
-        if self._attempt_class[node] == EMERGENCY:
-            slots = self.cfg.backoff_slots_high
-        else:
-            slots = self.cfg.backoff_slots_low
-        backoff = self._rng[node].randrange(slots) * self.cfg.backoff_unit_us
+        backoff = self._rng[node].randrange(slots) * cfg.backoff_unit_us
         self._pending[node] = eng.schedule(eng.now + backoff, node, self._tx_start, node)
 
     def _defer(self, node: int) -> None:
@@ -203,7 +200,7 @@ class FrogMac(ArrivalProcess):
             self._defer(node)  # someone else started during our backoff
             return
         cfg = self.cfg
-        if self._attempt_class[node] == EMERGENCY:
+        if self._emq[node]:
             packet = self._emq[node][0]
             nbytes = packet.payload_bytes + cfg.header_bytes
             kind = self.DATA_WHOLE

@@ -11,7 +11,6 @@ the existing ones).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -59,12 +58,6 @@ def build_population(
     come from the population stream; phases come from per-node streams so a
     node's arrival process is identical across subset sizes.
     """
-    if n_total < 1:
-        raise ValueError("need at least one member node")
-    if not 0 <= n_emergency <= n_total:
-        raise ValueError(
-            f"n_emergency must be in [0, {n_total}], got {n_emergency}"
-        )
     rng = substream(seed, POPULATION_STREAM)
     coords = [(rng.uniform(0.0, area_m), rng.uniform(0.0, area_m)) for _ in range(n_total)]
     order = list(range(1, n_total + 1))
@@ -97,6 +90,7 @@ class ArrivalProcess:
     once the new packet is queued and the node's next arrival of that class
     is scheduled. Arrival events belong to the arriving node, and each one
     fires at its scheduled time, so the next arrival is one interval on.
+    Pending arrivals are held only as events in the engine's queue.
     A packet leaves its queue only through _deliver or _drop, and only
     from the head of its class queue. Each class head has one retry
     budget, counted by _fail and renewed when the head leaves.
@@ -114,10 +108,6 @@ class ArrivalProcess:
         self._queues = {EMERGENCY: self._emq, NORMAL: self._nq}
         # Failed attempts of each node's class head, by class.
         self._retries = {EMERGENCY: [0] * n, NORMAL: [0] * n}
-        # Next scheduled arrival per node; inf for the sink, and for the
-        # emergencies of non-detectors.
-        self._next_norm = [math.inf] * n
-        self._next_em = [math.inf] * n
 
     def on_arrival(self, node: int, klass: str) -> None:
         raise NotImplementedError
@@ -126,11 +116,9 @@ class ArrivalProcess:
         """Schedule every flow's first arrival, node by node."""
         for nc in self.nodes:
             node = nc.node_id
-            t = self._next_norm[node] = nc.normal_phase_us
-            self.eng.schedule(t, node, self._arrival_normal, node)
+            self.eng.schedule(nc.normal_phase_us, node, self._arrival_normal, node)
             if nc.emergency:
-                t = self._next_em[node] = nc.emergency_phase_us
-                self.eng.schedule(t, node, self._arrival_emergency, node)
+                self.eng.schedule(nc.emergency_phase_us, node, self._arrival_emergency, node)
 
     def _make_packet(self, node: int, klass: str) -> Packet:
         eng = self.eng
@@ -143,14 +131,14 @@ class ArrivalProcess:
 
     def _arrival_normal(self, node: int) -> None:
         self._nq[node].append(self._make_packet(node, NORMAL))
-        t = self._next_norm[node] = self.eng.now + self.cfg.normal_interval_us
-        self.eng.schedule(t, node, self._arrival_normal, node)
+        eng = self.eng
+        eng.schedule(eng.now + self.cfg.normal_interval_us, node, self._arrival_normal, node)
         self.on_arrival(node, NORMAL)
 
     def _arrival_emergency(self, node: int) -> None:
         self._emq[node].append(self._make_packet(node, EMERGENCY))
-        t = self._next_em[node] = self.eng.now + self.cfg.emergency_interval_us
-        self.eng.schedule(t, node, self._arrival_emergency, node)
+        eng = self.eng
+        eng.schedule(eng.now + self.cfg.emergency_interval_us, node, self._arrival_emergency, node)
         self.on_arrival(node, EMERGENCY)
 
     def _pop_head(self, node: int, packet: Packet) -> None:

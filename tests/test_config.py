@@ -49,6 +49,7 @@ def test_fragment_size_is_a_frog_knob():
 def test_validate_rejects_bad_ranges():
     for kwargs in (
         {"protocol": "csma"},
+        {"n_nodes": 0},
         {"n_emergency": 21},
         {"n_emergency": -1},
         {"payload_bytes": 0},
@@ -92,6 +93,8 @@ def test_validate_rejects_bad_ranges():
         ("ack_bytes", {"ack_bytes": 0}),
         ("indication_bytes", {"indication_bytes": 0}),
         ("slot_guard_us", {"protocol": "fps", "slot_guard_us": 10}),
+        # guard == cca: the EIS ack would end as the schedule broadcast starts
+        ("slot_guard_us", {"protocol": "fps", "slot_guard_us": 128}),
     ):
         with pytest.raises(ValueError, match=name):
             SimConfig(**kwargs).validate()

@@ -199,6 +199,7 @@ queue_ops = st.lists(
         st.tuples(st.just("push"), st.integers(0, 50), st.integers(0, 4)),
         st.tuples(st.just("cancel"), st.integers(0, 10_000)),
         st.tuples(st.just("pop")),
+        st.tuples(st.just("peek")),
     ),
     max_size=120,
 )
@@ -210,6 +211,7 @@ def test_event_queue_matches_a_sorted_list_model(ops):
     queue = EventQueue()
     live = {}  # handle -> (time, owner, handle): the events not yet popped or cancelled
     handles = []
+    dead = {}  # handle -> (time, owner, handle): cancelled events still on the heap
 
     def fired(_arg):
         pass
@@ -218,9 +220,12 @@ def test_event_queue_matches_a_sorted_list_model(ops):
         got = queue.pop()
         if not live:
             assert got is None
+            dead.clear()
             return
         want = min(live.values())
         del live[want[2]]
+        for h in [h for h, key in dead.items() if key < want]:
+            del dead[h]  # skipped on the way to want
         assert got == (want[0], want[1], fired, want[2])
 
     for op in ops:
@@ -232,7 +237,13 @@ def test_event_queue_matches_a_sorted_list_model(ops):
         elif op[0] == "cancel" and handles:
             handle = handles[op[1] % len(handles)]  # may be popped or cancelled already
             queue.cancel(handle)
-            live.pop(handle, None)
+            if handle in live:
+                dead[handle] = live.pop(handle)
+        elif op[0] == "peek":
+            # The heap top: None on an empty heap, at most the next event to
+            # fire, and its time when no cancelled event lies ahead of it.
+            on_heap = list(live.values()) + list(dead.values())
+            assert queue.peek() == (min(on_heap)[0] if on_heap else None)
         else:
             check_pop()
     while live:
@@ -256,32 +267,35 @@ channel_ops = st.lists(
 @KERNEL_SETTINGS
 @given(channel_ops)
 def test_channel_matches_a_brute_force_interval_model(ops):
+    # Each open transmission has its own sender, the least id not on the air,
+    # so senders are reused once their frame has finished.
     channel = Channel()
-    spans = []   # [start, end) of every transmission begun, by handle
-    open_ = {}   # handle -> end, for transmissions not yet finished
+    spans = []   # [start, end) of every transmission begun, in order
+    open_ = {}   # sender -> (index into spans, end), for transmissions not yet finished
     now = 0
 
     def corrupted(h):
         s, e = spans[h]
         return any(s < e2 and s2 < e for i, (s2, e2) in enumerate(spans) if i != h)
 
-    def finish(h):
+    def finish(src):
         # The engine finishes a transmission at its end; later must not matter.
-        assert open_.pop(h) <= now
-        assert channel.finish(h) == corrupted(h)
+        h, end = open_.pop(src)
+        assert end <= now
+        assert channel.finish(src) == corrupted(h)
 
     for advance, action, length, pick in ops:
         now += advance
-        due = sorted(h for h, end in open_.items() if end <= now)  # may finish now
+        due = sorted(src for src, (_, end) in open_.items() if end <= now)  # may finish now
         if action == "begin":
-            h = channel.begin(0, now, now + length)
-            assert h == len(spans)
+            src = min(set(range(len(open_) + 1)) - open_.keys())
+            channel.begin(src, now, now + length)
+            open_[src] = (len(spans), now + length)
             spans.append((now, now + length))
-            open_[h] = now + length
         elif action == "finish" and due:
             k = pick % len(due)  # finish them all, starting from the k-th
-            for h in due[k:] + due[:k]:
-                finish(h)
+            for src in due[k:] + due[:k]:
+                finish(src)
         else:
             # Half the windows open where the last transmission ended.
             ended = [e for _, e in spans if e <= now]
@@ -289,6 +303,6 @@ def test_channel_matches_a_brute_force_interval_model(ops):
             assert channel.busy_at(now) == any(s <= now < e for s, e in spans)
             assert channel.busy_in(t0, now) == any(s < now and e > t0 for s, e in spans)
             assert channel.busy_until(now) == max([now] + [e for _, e in spans])
-    now = max([now] + list(open_.values()))
-    for h in sorted(open_):
-        finish(h)
+    now = max([now] + [end for _, end in open_.values()])
+    for src in sorted(open_):
+        finish(src)

@@ -3,7 +3,7 @@
 import pytest
 
 from priomac.config import SimConfig
-from priomac.engine import SINK, Engine, tx_duration_us
+from priomac.engine import SINK, Engine, substream, tx_duration_us
 from priomac.frog import FrogMac, SinkReassembler, fragment
 from priomac.metrics import EnergyLedger, MetricsCollector
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet
@@ -107,10 +107,10 @@ def test_timing_rejects_out_of_range_spacing(field, kwargs):
 
 # -- MAC scenarios ---------------------------------------------------------
 
-def make_mac(nodes, duration_us, fragment_size=8, seed=1, trace=None):
+def make_mac(nodes, duration_us, fragment_size=8, seed=1, trace=None, **overrides):
     eng = Engine(duration_us=duration_us, trace=trace)
     metrics = MetricsCollector()
-    cfg = SimConfig(seed=seed, fragment_size=fragment_size)
+    cfg = SimConfig(seed=seed, fragment_size=fragment_size, **overrides)
     ledger = EnergyLedger([SINK] + [n.node_id for n in nodes], cfg.power_mw)
     mac = FrogMac(eng, nodes, metrics, ledger, cfg)
     return eng, mac, metrics, ledger
@@ -237,6 +237,48 @@ def test_an_own_emergency_preempts_only_a_contending_fragment(point):
         lo = ack_end + cfg.fragment_gap_us + cfg.ifs_high_us
         assert lo <= starts[1][0] <= lo + max_backoff
         assert starts[2][1] == "kind=data-frag id=0 frag=2/5"
+
+
+def tx_starts(rec, node=1):
+    return [(t, d) for t, n, k, d in rec if n == node and k == "tx-start"]
+
+
+def test_a_second_emergency_leaves_a_contending_emergency_alone():
+    # Emergencies arrive every 100 us, inside the 192 us high-priority IFS.
+    # Only the first starts an attempt; later ones queue behind it and must
+    # not restart its contention, so it goes out after one IFS and the
+    # node's first backoff draw.
+    cfg = SimConfig()
+    rec = []
+    nodes = [NodeConfig(1, 10.0, 10.0, True, 40_000_000, 0)]
+    eng, mac, metrics, ledger = make_mac(
+        nodes, 2_000, trace=lambda t, n, k, d: rec.append((t, n, k, d)),
+        emergency_interval_s=0.0001,
+    )
+    mac.start()
+    eng.run()
+    backoff = substream(cfg.seed, 1).randrange(cfg.backoff_slots_high) * cfg.backoff_unit_us
+    assert tx_starts(rec)[0] == (cfg.ifs_high_us + backoff, "kind=data-whole id=0")
+
+
+@pytest.mark.parametrize("overlap", [0, 1], ids=["ends-at-window-start", "ends-1us-inside"])
+def test_the_sense_window_is_the_ifs_before_the_cca(overlap):
+    # A lone sender's packet arrives at 5000 us, so it senses [5000, 6000).
+    # A foreign frame that ends at 5000 us lies outside that window; one
+    # that ends 1 us later overlaps it, and the sender defers one more IFS.
+    cfg = SimConfig()
+    arrive = 5_000
+    noise_air = tx_duration_us(1)
+    rec = []
+    eng, mac, metrics, ledger = make_mac(
+        lone_sender(arrive), 20_000, trace=lambda t, n, k, d: rec.append((t, n, k, d))
+    )
+    eng.schedule(arrive - noise_air + overlap, 99, lambda _: eng.begin_tx(99, 1, "noise"))
+    mac.start()
+    eng.run()
+    backoff = substream(cfg.seed, 1).randrange(cfg.backoff_slots_low) * cfg.backoff_unit_us
+    first = arrive + (1 + overlap) * cfg.ifs_low_us + backoff
+    assert tx_starts(rec)[0] == (first, "kind=data-frag id=0 frag=1/5")
 
 
 def test_a_normal_arrival_leaves_a_contending_normal_attempt_alone():

@@ -301,6 +301,9 @@ def test_cli_rejects_config_errors(tmp_path, capsys):
         ("ack_bytes", ["--ack-bytes", "0"]),
         ("indication_bytes", ["--indication-bytes", "0"]),
         ("slot_guard_us", ["--protocol", "fps", "--slot-guard-us", "10"]),
+        # guard == cca: the EIS ack would still be on the air at the schedule broadcast
+        ("slot_guard_us",
+         ["--protocol", "fps", "--slot-guard-us", "128", "--n-emergency", "18"]),
         ("seed", ["--seed", "banana"]),
         # argparse reads a lone "-inf" as an option, not as the flag's value
         ("--p-tx-mw", ["--p-tx-mw", "-inf"]),

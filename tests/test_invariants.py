@@ -1,0 +1,62 @@
+"""Invariants over generated configs: every accepted config runs, and closes.
+
+Configs are drawn across both protocols, with the fps guard near one CCA
+and short durations that are not frame multiples. A config the spec
+refuses is skipped; one it accepts must run to its end without an
+exception, conserve every packet and account for every node's time.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from priomac.config import SimConfig
+from priomac.fps import FrameGeometry
+from priomac.harness import run_once
+
+
+@st.composite
+def configs(draw, protocol):
+    n_nodes = draw(st.integers(1, 10))
+    cca_us = draw(st.sampled_from((1, 128, 300)))
+    cfg = SimConfig(
+        protocol=protocol,
+        seed=draw(st.integers(1, 5)),
+        n_nodes=n_nodes,
+        n_emergency=draw(st.integers(0, n_nodes)),
+        # Whole microseconds, so each span survives the trip through seconds.
+        normal_interval_s=draw(st.integers(2_000, 1_000_000)) / 1e6,
+        emergency_interval_s=draw(st.integers(2_000, 1_000_000)) / 1e6,
+        cca_us=cca_us,
+        fragment_size=draw(st.none() | st.integers(1, 34)) if protocol == "frog" else None,
+        slots_per_frame=draw(st.integers(1, 20)),
+        slot_guard_us=cca_us + draw(st.integers(-1, 2)),
+        ack_loss_p=draw(st.sampled_from((0.0, 0.01, 0.3, 0.9))),
+        # Small budgets, so that packets are also dropped.
+        frog_max_retries=draw(st.integers(0, 8)),
+        fps_max_retry_frames=draw(st.integers(0, 50)),
+    )
+    # Up to 40 frames, ending anywhere strictly inside the last one.
+    frame_len = FrameGeometry(cfg).frame_len
+    frames = draw(st.integers(0, 40))
+    duration_us = frames * frame_len + draw(st.integers(1, frame_len - 1))
+    return dataclasses.replace(cfg, duration_s=duration_us / 1e6)
+
+
+@pytest.mark.parametrize("protocol", ["frog", "fps"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_accepted_config_runs_and_closes(protocol, data):
+    cfg = data.draw(configs(protocol))
+    try:
+        cfg.validate()
+    except ValueError:
+        assume(False)
+    rep = run_once(cfg)
+    for stats in rep.classes.values():
+        assert stats.generated == stats.delivered + stats.dropped + stats.in_flight
+        assert stats.in_flight >= 0
+    for node, spans in rep.node_state_us.items():
+        assert sum(spans) == cfg.duration_us, node

@@ -23,15 +23,6 @@ def test_population_extremes():
     assert sum(n.emergency for n in build_population(20, 20, seed=1)) == 20
 
 
-def test_population_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        build_population(0, 0, seed=1)
-    with pytest.raises(ValueError):
-        build_population(20, 21, seed=1)
-    with pytest.raises(ValueError):
-        build_population(20, -1, seed=1)
-
-
 def test_population_deterministic_per_seed():
     assert build_population(20, 3, seed=4) == build_population(20, 3, seed=4)
     assert build_population(20, 3, seed=4) != build_population(20, 3, seed=5)
