@@ -45,7 +45,6 @@ def tx_duration_us(nbytes: int, bitrate_bps: int = SimConfig.bitrate_bps) -> int
 @dataclass(slots=True)
 class Transmission:
     src: int
-    start: int
     end: int
     kind: str
     on_end: object  # on_end(tx, corrupted) once it leaves the air, or None
@@ -94,7 +93,7 @@ class Engine:
             air = self._airtime[nbytes] = tx_duration_us(nbytes, self.bitrate_bps)
         end = self.now + air
         self.channel.begin(src, self.now, end)
-        tx = Transmission(src, self.now, end, kind, on_end, meta, label)
+        tx = Transmission(src, end, kind, on_end, meta, label)
         if self.trace is not None:
             self.trace(self.now, src, "tx-start", f"kind={kind}{label}")
         # Airtime is at least 1 us, so the end lies in the future.

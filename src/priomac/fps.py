@@ -94,25 +94,16 @@ class SlotRequest:
     normal_queued: int
 
 
-@dataclass
-class TdmaFrame:
-    index: int
-    start: int
-    mode: str
-    data_slots: list[tuple[int, int, int, str]]  # (start, end, node, purpose)
-
-
 def build_frame(
     start: int,
-    index: int,
     mode: str,
     requests: dict[int, SlotRequest],
     geom: FrameGeometry,
     diag_m: float,
     initial_energy_uj: float,
     slots_per_frame: int,
-) -> TdmaFrame:
-    """Assign data slots for one frame from per-node claims.
+) -> list[tuple[int, int, int, str]]:
+    """One frame's data slots from per-node claims: (start, end, node, purpose).
 
     EMERGENCY mode seats every emergency-flagged claimant first (stealing
     slots from periodic traffic); the remaining slots go to periodic
@@ -161,12 +152,7 @@ def build_frame(
     for i, (node, purpose) in enumerate(assignments):
         s, e = geom.slot_span(start, i)
         data_slots.append((s, e, node, purpose))
-    return TdmaFrame(
-        index=index,
-        start=start,
-        mode=mode,
-        data_slots=data_slots,
-    )
+    return data_slots
 
 
 class FpsMac(ArrivalProcess):
@@ -377,31 +363,30 @@ class FpsMac(ArrivalProcess):
                 FuzzyInputs(self._dist[m], residual, total, 1 if ne else 0),
                 nn,
             )
-        frame = build_frame(
-            f, idx, mode, requests, self.geom,
+        data_slots = build_frame(
+            f, mode, requests, self.geom,
             self.diag_m, self.initial_energy_uj, self.cfg.slots_per_frame,
         )
         if self.eng.trace is not None:
-            slots = ",".join(f"{n}:{p}" for _, _, n, p in frame.data_slots)
+            slots = ",".join(f"{n}:{p}" for _, _, n, p in data_slots)
             self.eng.trace(
                 self.eng.now, SINK, "frame",
                 f"idx={idx} start={f} mode={mode} eis={self._eis_outcome} slots=[{slots}]",
             )
         label = f" idx={idx}" if self.eng.trace is not None else ""
         self.eng.begin_tx(
-            SINK, self.cfg.schedule_bytes, self.SCHED, self._on_sched_end, frame, label
+            SINK, self.cfg.schedule_bytes, self.SCHED, self._on_sched_end, data_slots, label
         )
 
     def _on_sched_end(self, tx, corrupted: bool) -> None:
         if corrupted:
             raise ProtocolBug("schedule broadcast collided")
-        frame = tx.meta
-        for i, (s, _e, node, purpose) in enumerate(frame.data_slots):
+        for i, (s, _e, node, purpose) in enumerate(tx.meta):
             self.eng.schedule(s, node, self._slot_tx, (node, purpose, i))
 
     def _slot_tx(self, arg) -> None:
         node, purpose, slot_i = arg
-        q = self._queues[purpose][node]
+        q = self.queues[purpose][node]
         if not q:
             if self.eng.trace is not None:
                 self.eng.trace(self.eng.now, node, "slot-idle", f"slot={slot_i}")
@@ -459,5 +444,5 @@ class FpsMac(ArrivalProcess):
 
     def _bump_retry(self, node: int, klass: str) -> None:
         """Count one failed frame for node's klass head; drop it past the limit."""
-        if self._fail(node, self._queues[klass][node][0], self.cfg.fps_max_retry_frames):
+        if self._fail(node, self.queues[klass][node][0], self.cfg.fps_max_retry_frames):
             self._release(node)

@@ -85,6 +85,10 @@ class SinkReassembler:
         st = self._seen.get(pid)
         return st[2] if st is not None else 0
 
+    def forget(self, pid: int) -> None:
+        """Drop a packet's entry once the packet has left its queue."""
+        self._seen.pop(pid, None)
+
 
 class FrogMac(ArrivalProcess):
     """Event-driven implementation over the shared engine.
@@ -294,6 +298,7 @@ class FrogMac(ArrivalProcess):
         """Move on from a packet that has left its queue: the next packet, or IDLE."""
         if gone.klass == NORMAL:
             self._frags[node] = None  # the next normal packet gets a fresh cursor
+            self.reassembler.forget(gone.pid)
         if self._emq[node] or self._nq[node]:
             self._start_attempt(node, self.eng.now)
         else:

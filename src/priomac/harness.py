@@ -59,7 +59,7 @@ def run_once(cfg: SimConfig, trace=None) -> RunReport:
     proto.start()
     eng.run()
     proto.finish()
-    return metrics.summarize(ledger, cfg.duration_us)
+    return metrics.summarize(ledger, cfg.duration_us, proto.queues)
 
 
 def emit_trace(cfg: SimConfig, path: str) -> RunReport:

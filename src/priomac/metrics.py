@@ -95,17 +95,13 @@ class MetricsCollector:
         self._dropped = {k: 0 for k in CLASSES}
         self._delays = {k: [] for k in CLASSES}
         self._em_by_src: dict[int, list[int]] = {}  # src -> [count, sum_us]
-        self._terminal: set[int] = set()  # pids delivered or dropped
 
     def record_generated(self, packet: Packet) -> None:
         self._generated[packet.klass] += 1
 
     def record_delivery(self, packet: Packet, delivery_time: int) -> None:
-        if packet.pid in self._terminal:
-            raise ValueError(f"packet {packet.pid} already delivered or dropped")
         if delivery_time <= packet.gen_time:
             raise ValueError("delivery must postdate generation")
-        self._terminal.add(packet.pid)
         delay = delivery_time - packet.gen_time
         self._delays[packet.klass].append(delay)
         if packet.klass == EMERGENCY:
@@ -114,12 +110,11 @@ class MetricsCollector:
             tally[1] += delay
 
     def record_drop(self, packet: Packet) -> None:
-        if packet.pid in self._terminal:
-            raise ValueError(f"packet {packet.pid} already delivered or dropped")
-        self._terminal.add(packet.pid)
         self._dropped[packet.klass] += 1
 
-    def summarize(self, ledger: EnergyLedger, duration_us: int) -> RunReport:
+    def summarize(self, ledger: EnergyLedger, duration_us: int, queues) -> RunReport:
+        """The run's report; `queues` maps each class to its per-node queues,
+        which hold every packet that has not left yet."""
         classes = {}
         all_delays = []
         total_delivered = 0
@@ -132,9 +127,9 @@ class MetricsCollector:
                 generated=self._generated[klass],
                 delivered=len(delays),
                 dropped=self._dropped[klass],
+                in_flight=sum(map(len, queues[klass])),
             )
-            stats.in_flight = stats.generated - stats.delivered - stats.dropped
-            if stats.in_flight < 0:
+            if stats.generated != stats.delivered + stats.dropped + stats.in_flight:
                 raise RuntimeError(f"packet conservation broken for {klass}")
             if delays:
                 srt = sorted(delays)

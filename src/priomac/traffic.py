@@ -91,9 +91,11 @@ class ArrivalProcess:
     is scheduled. Arrival events belong to the arriving node, and each one
     fires at its scheduled time, so the next arrival is one interval on.
     Pending arrivals are held only as events in the engine's queue.
-    A packet leaves its queue only through _deliver or _drop, and only
-    from the head of its class queue. Each class head has one retry
-    budget, counted by _fail and renewed when the head leaves.
+    `queues` maps each class to its per-node queues, the only record of a
+    packet that has not left. A packet leaves its queue only through
+    _deliver or _drop, and only from the head of its class queue, so it
+    leaves once. Each class head has one retry budget, counted by _fail
+    and renewed when the head leaves.
     """
 
     def __init__(self, eng: Engine, nodes: list[NodeConfig], metrics, cfg: SimConfig):
@@ -105,7 +107,7 @@ class ArrivalProcess:
         n = max(nc.node_id for nc in nodes) + 1
         self._emq = [deque() for _ in range(n)]
         self._nq = [deque() for _ in range(n)]
-        self._queues = {EMERGENCY: self._emq, NORMAL: self._nq}
+        self.queues = {EMERGENCY: self._emq, NORMAL: self._nq}
         # Failed attempts of each node's class head, by class.
         self._retries = {EMERGENCY: [0] * n, NORMAL: [0] * n}
 
@@ -142,7 +144,7 @@ class ArrivalProcess:
         self.on_arrival(node, EMERGENCY)
 
     def _pop_head(self, node: int, packet: Packet) -> None:
-        q = self._queues[packet.klass][node]
+        q = self.queues[packet.klass][node]
         if not q or q[0] is not packet:
             raise ProtocolBug(
                 f"packet {packet.pid} is not the head of node {node}'s {packet.klass} queue"

@@ -290,9 +290,10 @@ def preemption_trace(fs, seed):
     metrics = MetricsCollector()
     cfg = SimConfig(seed=seed, fragment_size=fs)
     ledger = EnergyLedger([SINK, 1, 2], cfg.power_mw)
-    FrogMac(eng, nodes, metrics, ledger, cfg).start()
+    mac = FrogMac(eng, nodes, metrics, ledger, cfg)
+    mac.start()
     eng.run()
-    return em_at, rec, metrics.summarize(ledger, 60_000)
+    return em_at, rec, metrics.summarize(ledger, 60_000, mac.queues)
 
 
 def test_criterion_5_preemption_guarantee():

@@ -78,7 +78,7 @@ INITIAL = 50e6
 
 
 def frame(mode, requests, start=0):
-    return build_frame(start, 0, mode, requests, GEOM, DIAG, INITIAL, 20)
+    return build_frame(start, mode, requests, GEOM, DIAG, INITIAL, 20)
 
 
 def test_periodic_slots_follow_fuzzy_priority():
@@ -87,8 +87,8 @@ def test_periodic_slots_follow_fuzzy_priority():
         2: req(slots=5, queued=5),
         3: req(slots=2, queued=2),
     }
-    f = frame(MODE_PERIODIC, requests)
-    assert [(node, purpose) for _, _, node, purpose in f.data_slots] == [
+    slots = frame(MODE_PERIODIC, requests)
+    assert [(node, purpose) for _, _, node, purpose in slots] == [
         (2, NORMAL), (3, NORMAL), (1, NORMAL)
     ]
     # and the ordering matches the scoring function directly
@@ -98,50 +98,49 @@ def test_periodic_slots_follow_fuzzy_priority():
 
 
 def test_slot_spans_come_from_the_geometry():
-    f = frame(MODE_PERIODIC, {1: req(queued=1)}, start=55_568)
-    s, e, node, _ = f.data_slots[0]
+    slots = frame(MODE_PERIODIC, {1: req(queued=1)}, start=55_568)
+    s, e, node, _ = slots[0]
     assert (s, e) == GEOM.slot_span(55_568, 0)
 
 
 def test_emergency_claimant_takes_the_first_slot():
     requests = {n: req(slots=5, queued=5) for n in (1, 2, 3)}
     requests[9] = req(dist=70.0, resid=1e6, slots=1, bit=1)  # weakest fuzzy inputs
-    f = frame(MODE_EMERGENCY, requests)
-    assert f.data_slots[0][2:] == (9, EMERGENCY)
-    assert [n for _, _, n, _ in f.data_slots[1:]] == [1, 2, 3]
+    slots = frame(MODE_EMERGENCY, requests)
+    assert slots[0][2:] == (9, EMERGENCY)
+    assert [n for _, _, n, _ in slots[1:]] == [1, 2, 3]
 
 
 def test_emergency_claimant_is_seated_only_once():
     requests = {9: req(bit=1, queued=3)}  # urgent and backlogged
-    f = frame(MODE_EMERGENCY, requests)
-    assert [(n, p) for _, _, n, p in f.data_slots] == [(9, EMERGENCY)]
+    slots = frame(MODE_EMERGENCY, requests)
+    assert [(n, p) for _, _, n, p in slots] == [(9, EMERGENCY)]
 
 
 def test_periodic_mode_ignores_the_emergency_bit():
     # Without an EIS win the frame stays periodic; a flagged claimant with
     # no queued normal traffic gets nothing this frame.
-    f = frame(MODE_PERIODIC, {9: req(bit=1)})
-    assert f.data_slots == []
-    assert f.mode == MODE_PERIODIC
+    slots = frame(MODE_PERIODIC, {9: req(bit=1)})
+    assert slots == []
 
 
 def test_equal_claims_break_ties_by_id():
-    f = frame(MODE_PERIODIC, {n: req(queued=1) for n in (7, 3, 5)})
-    assert [n for _, _, n, _ in f.data_slots] == [3, 5, 7]
+    slots = frame(MODE_PERIODIC, {n: req(queued=1) for n in (7, 3, 5)})
+    assert [n for _, _, n, _ in slots] == [3, 5, 7]
 
 
 def test_claims_beyond_the_frame_are_deferred():
-    f = frame(MODE_PERIODIC, {n: req(queued=1) for n in range(1, 26)})
-    assert len(f.data_slots) == 20
-    assert [n for _, _, n, _ in f.data_slots] == list(range(1, 21))
+    slots = frame(MODE_PERIODIC, {n: req(queued=1) for n in range(1, 26)})
+    assert len(slots) == 20
+    assert [n for _, _, n, _ in slots] == list(range(1, 21))
 
 
 def test_slot_stealing_displaces_the_weakest_periodic_claim():
     requests = {n: req(queued=1) for n in range(1, 21)}
     requests[21] = req(bit=1)
-    f = frame(MODE_EMERGENCY, requests)
-    assert f.data_slots[0][2:] == (21, EMERGENCY)
-    seated = [n for _, _, n, _ in f.data_slots]
+    slots = frame(MODE_EMERGENCY, requests)
+    assert slots[0][2:] == (21, EMERGENCY)
+    seated = [n for _, _, n, _ in slots]
     assert len(seated) == 20
     assert 20 not in seated  # equal periodic claims, so the highest id loses
 
@@ -172,7 +171,7 @@ def run_fps(nodes, duration_us, seed=1, **cfg_kwargs):
     mac.start()
     eng.run()
     mac.finish()
-    return metrics.summarize(ledger, duration_us), rec, ledger
+    return metrics.summarize(ledger, duration_us, mac.queues), rec, ledger
 
 
 def member(node_id, emergency=False, normal_phase=40_000_000, em_phase=0):
@@ -341,7 +340,7 @@ def test_trace_does_not_change_the_outcome():
     mac.start()
     eng.run()
     mac.finish()
-    rep_plain = metrics.summarize(ledger, 10 * FRAME)
+    rep_plain = metrics.summarize(ledger, 10 * FRAME, mac.queues)
     assert rep_plain == rep_traced
 
 
@@ -350,7 +349,7 @@ def run_untraced(nodes, duration_us, seed=1, **cfg_kwargs):
     mac.start()
     eng.run()
     mac.finish()
-    return metrics.summarize(ledger, duration_us)
+    return metrics.summarize(ledger, duration_us, mac.queues)
 
 
 # Sparse traffic: 10 s intervals are about 180 frames, so an untraced run
@@ -466,7 +465,7 @@ def test_holding_set_is_the_members_with_queued_packets(traffic, seed, traced):
     mac.start()
     eng.run()
     check()
-    rep = metrics.summarize(ledger, duration)
+    rep = metrics.summarize(ledger, duration, mac.queues)
     for klass in (EMERGENCY, NORMAL):
         assert rep.classes[klass].delivered > 0 and rep.classes[klass].dropped > 0
     assert 0 in sizes and max(sizes) >= 2
@@ -511,19 +510,18 @@ def test_scored_residual_energy_matches_the_frame_count(seed, duration, monkeypa
     calls = []
     build = priomac.fps.build_frame
 
-    def recorded_build_frame(start, index, mode, requests, *args):
-        calls.append((eng.now, start, index, {m: r.inputs.residual_energy_uj
-                                              for m, r in requests.items()}))
-        return build(start, index, mode, requests, *args)
+    def recorded_build_frame(start, mode, requests, *args):
+        calls.append((eng.now, start, {m: r.inputs.residual_energy_uj
+                                       for m, r in requests.items()}))
+        return build(start, mode, requests, *args)
 
     eng.begin_tx = recorded_begin_tx
     monkeypatch.setattr(priomac.fps, "build_frame", recorded_build_frame)
     mac.start()
     eng.run()
-    shared = [c for c in calls if len(c[3]) >= 2]
+    shared = [c for c in calls if len(c[2]) >= 2]
     assert len(shared) >= 5 and len(calls) < 1500 // 5, "no sparse shared frames"
-    for now, start, index, residuals in calls:
-        assert index == start // FRAME
+    for now, start, residuals in calls:
         for m, residual in residuals.items():
             assert residual == oracle_residual(
                 GEOM, ledger.power, 50e6, duration, txs, m, start, now

@@ -6,7 +6,7 @@ from priomac.config import SimConfig
 from priomac.engine import SINK, Engine, substream, tx_duration_us
 from priomac.frog import FrogMac, SinkReassembler, fragment
 from priomac.metrics import EnergyLedger, MetricsCollector
-from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet
+from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet, build_population
 
 
 def pkt(payload=34, klass=NORMAL):
@@ -132,7 +132,7 @@ def test_uncontended_packet_uses_every_fragment_once():
     assert [d.split("frag=")[1] for d in frag_starts] == [
         "1/5", "2/5", "3/5", "4/5", "5/5"
     ]
-    rep = metrics.summarize(ledger, 40_000)
+    rep = metrics.summarize(ledger, 40_000, mac.queues)
     assert rep.classes[NORMAL].delivered == 1
 
 
@@ -142,7 +142,7 @@ def test_uncontended_delay_is_within_the_arithmetic_envelope():
     eng, mac, metrics, ledger = make_mac(lone_sender(), 60_000)
     mac.start()
     eng.run()
-    rep = metrics.summarize(ledger, 60_000)
+    rep = metrics.summarize(ledger, 60_000, mac.queues)
     delay = rep.classes[NORMAL].mean_us
     lo = 5 * (1000 + 416 + 352) + 4 * 800
     hi = lo + 5 * 7 * 160
@@ -183,7 +183,7 @@ def test_emergency_preempts_the_gap():
     after = [s for s in data_starts if s[0] > em_at]
     assert after[0][1] == 2
     assert after[0][2].startswith("kind=data-whole")
-    rep = metrics.summarize(ledger, 60_000)
+    rep = metrics.summarize(ledger, 60_000, mac.queues)
     assert rep.classes[EMERGENCY].delivered == 1
     assert rep.classes[EMERGENCY].mean_us <= 192 + 3 * 160 + 1248 + 352
 
@@ -208,7 +208,7 @@ def test_an_own_emergency_preempts_only_a_contending_fragment(point):
         mac.start()
         eng.run()
         starts = [(t, d) for t, n, k, d in rec if n == 1 and k == "tx-start"]
-        return rec, starts, metrics.summarize(ledger, 30_000)
+        return rec, starts, metrics.summarize(ledger, 30_000, mac.queues)
 
     _, alone, _ = run(40_000_000)  # the emergency comes after the run
     t0 = alone[0][0]
@@ -309,7 +309,7 @@ def test_a_clean_exchange_cancels_no_event(monkeypatch):
     eng, mac, metrics, ledger = make_mac(lone_sender(), 60_000)
     mac.start()
     eng.run()
-    assert metrics.summarize(ledger, 60_000).classes[NORMAL].delivered == 1
+    assert metrics.summarize(ledger, 60_000, mac.queues).classes[NORMAL].delivered == 1
     assert cancels == []
 
 
@@ -318,7 +318,7 @@ def run_jammed(target, em_at=None):
 
     The jammer is node 99, outside the MAC. With em_at, the sender's own
     emergency arrives then; only its fragments' frames are jammed, so the
-    emergency goes through. Returns the trace and the report.
+    emergency goes through. Returns the trace, the report and the MAC.
     """
     nodes = lone_sender()
     if em_at is not None:
@@ -346,7 +346,7 @@ def run_jammed(target, em_at=None):
     if target == "ack":
         mac._on_data_end = jam
     eng.run()
-    return rec, metrics.summarize(ledger, 400_000)
+    return rec, metrics.summarize(ledger, 400_000, mac.queues), mac
 
 
 def test_retry_exhaustion_drops_the_packet():
@@ -355,7 +355,7 @@ def test_retry_exhaustion_drops_the_packet():
     # emergency of its own, sent clean between two of those attempts,
     # does not renew the fragment's budget.
     for em_at in (None, 10_000, 20_000):
-        rec, rep = run_jammed("ack", em_at)
+        rec, rep, _ = run_jammed("ack", em_at)
         assert rep.classes[NORMAL].dropped == 1
         assert rep.classes[NORMAL].delivered == 0
         attempts = [1 for _, n, k, d in rec if n == 1 and k == "tx-start" and "frag=1/5" in d]
@@ -370,7 +370,7 @@ def test_a_retry_waits_out_the_ack_timeout(target):
     # low-priority IFS, plus at most the largest backoff.
     t = SimConfig()
     ack_air = tx_duration_us(t.ack_bytes)
-    rec, rep = run_jammed(target)
+    rec, rep, _ = run_jammed(target)
     assert rep.classes[NORMAL].dropped == 1
     ends = [tm for tm, n, k, d in rec if n == 1 and k == "tx-end"]
     starts = [tm for tm, n, k, d in rec if n == 1 and k == "tx-start"]
@@ -381,3 +381,24 @@ def test_a_retry_waits_out_the_ack_timeout(target):
     for end, retry in zip(ends, starts[1:]):
         floor = end + ack_air + t.ack_slack_us + t.ifs_low_us
         assert floor <= retry <= floor + (t.backoff_slots_low - 1) * t.backoff_unit_us
+
+
+def test_the_sink_keeps_fragments_only_of_queued_packets():
+    # A packet's reassembly entry goes when the packet leaves its queue, so
+    # the sink holds at most one entry per member, not one per packet sent.
+    # The jammed lone sender drops its only packet with fragment 1 at the
+    # sink; the saturated run, with no retries, both delivers and drops.
+    _, rep, mac = run_jammed("ack")
+    assert rep.classes[NORMAL].dropped == 1
+    assert mac.reassembler._seen == {}
+
+    nodes = build_population(10, 0, seed=1, normal_interval_us=10_000)
+    eng, mac, metrics, ledger = make_mac(
+        nodes, 2_000_000, fragment_size=2, normal_interval_s=0.01, frog_max_retries=0
+    )
+    mac.start()
+    eng.run()
+    rep = metrics.summarize(ledger, 2_000_000, mac.queues)
+    assert rep.classes[NORMAL].delivered > 0 and rep.classes[NORMAL].dropped > 0
+    heads = {q[0].pid for q in mac._nq if q}
+    assert set(mac.reassembler._seen) <= heads

@@ -12,7 +12,7 @@ from priomac.metrics import (
     MetricsCollector,
     _percentile_nearest_rank,
 )
-from priomac.traffic import EMERGENCY, NORMAL, Packet
+from priomac.traffic import CLASSES, EMERGENCY, NORMAL, Packet
 
 
 def ledger(nodes=(1,)):
@@ -67,16 +67,19 @@ def pkt(pid, klass=NORMAL, gen=1000, src=1):
     return Packet(pid, src, klass, gen, 34)
 
 
+def queued(*packets):
+    """Per-class queues of one node holding `packets`, shaped as a MAC's `queues`."""
+    return {k: [[p for p in packets if p.klass == k]] for k in CLASSES}
+
+
 def test_delivery_and_drop_are_exclusive_and_single():
+    # A second exit of the same packet is refused at its queue head; see
+    # test_traffic.py::test_a_packet_leaves_only_from_its_queue_head.
     m = MetricsCollector()
     p = pkt(1)
     m.record_generated(p)
     m.record_delivery(p, 3000)
-    assert m.summarize(ledger(), 10_000).classes[NORMAL].mean_us == 2000
-    with pytest.raises(ValueError):
-        m.record_delivery(p, 4000)
-    with pytest.raises(ValueError):
-        m.record_drop(p)
+    assert m.summarize(ledger(), 10_000, queued()).classes[NORMAL].mean_us == 2000
 
 
 def test_emergency_delays_are_kept_per_source():
@@ -91,7 +94,7 @@ def test_emergency_delays_are_kept_per_source():
     for p, at in deliveries:
         m.record_generated(p)
         m.record_delivery(p, at)
-    rep = m.summarize(ledger(), 10_000)
+    rep = m.summarize(ledger(), 10_000, queued())
     assert rep.emergency_by_src == {3: (2, 700 + 900), 5: (1, 300)}
 
 
@@ -117,7 +120,7 @@ def test_summarize_basic_stats():
     inflight = pkt(100, gen=0)
     m.record_generated(inflight)
 
-    rep = m.summarize(led, duration_us=10_000)
+    rep = m.summarize(led, 10_000, queued(inflight))
     ns = rep.classes[NORMAL]
     es = rep.classes[EMERGENCY]
     assert (ns.generated, ns.delivered, ns.dropped, ns.in_flight) == (5, 4, 0, 1)
@@ -137,11 +140,16 @@ def test_summarize_flags_conservation_breach():
     m.record_delivery(a, 100)
     m.record_delivery(b, 100)  # never generated: books no longer balance
     with pytest.raises(RuntimeError):
-        m.summarize(ledger(), duration_us=1000)
+        m.summarize(ledger(), 1000, queued())
+    # Generated, but neither queued, delivered nor dropped.
+    lost = MetricsCollector()
+    lost.record_generated(pkt(3, gen=0))
+    with pytest.raises(RuntimeError):
+        lost.summarize(ledger(), 1000, queued())
 
 
 def test_summarize_empty_run():
-    rep = MetricsCollector().summarize(ledger(), duration_us=1000)
+    rep = MetricsCollector().summarize(ledger(), 1000, queued())
     assert rep.mean_all_us is None
     assert rep.energy_per_delivered_uj is None
     assert rep.delivered == rep.dropped == rep.generated == 0

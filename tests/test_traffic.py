@@ -59,16 +59,23 @@ def test_a_packet_leaves_only_from_its_queue_head(make, exit_name):
     head = Packet(0, 1, NORMAL, 0, 34)
     second = Packet(1, 1, NORMAL, 0, 34)
     stray = Packet(2, 1, EMERGENCY, 0, 34)  # its class queue is empty
-    for packet in (head, second, stray):
+    for packet in (head, second):
         metrics.record_generated(packet)
     mac._nq[1].extend([head, second])
-    before = metrics.summarize(ledger, 10_000)
+    before = metrics.summarize(ledger, 10_000, mac.queues)
     leave = getattr(mac, exit_name)
     for packet in (second, stray):
         with pytest.raises(ProtocolBug):
             leave(1, packet)
         assert list(mac._nq[1]) == [head, second] and not mac._emq[1]
-        assert metrics.summarize(ledger, 10_000) == before
+        assert metrics.summarize(ledger, 10_000, mac.queues) == before
     leave(1, head)
     assert list(mac._nq[1]) == [second]
-    assert metrics.summarize(ledger, 10_000) != before
+    after = metrics.summarize(ledger, 10_000, mac.queues)
+    assert after != before
+    # The head has left, so neither exit takes it a second time.
+    for again in (mac._deliver, mac._drop):
+        with pytest.raises(ProtocolBug):
+            again(1, head)
+        assert list(mac._nq[1]) == [second] and not mac._emq[1]
+        assert metrics.summarize(ledger, 10_000, mac.queues) == after
