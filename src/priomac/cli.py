@@ -20,6 +20,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _at_least_one(text: str) -> int:
+    """A count flag's value: a whole number, 1 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return n
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="key = value config file")
     p.add_argument(
@@ -115,10 +126,10 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run one experiment preset")
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    p_sweep.add_argument("--seeds", type=int, default=10, metavar="N",
+    p_sweep.add_argument("--seeds", type=_at_least_one, default=10, metavar="N",
                          help="number of seeds per point (1..N)")
     p_sweep.add_argument("--out", default=".", metavar="DIR")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_sweep.add_argument("--jobs", type=_at_least_one, default=1, metavar="N",
                          help="concurrent worker processes")
     p_sweep.set_defaults(fn=_cmd_sweep)
 

@@ -17,7 +17,10 @@ so this baseline over [0, t) is a closed form of t (FrameGeometry), and
 so are a frame's index and the next frame worth running: the first one
 at or after the next arrival, whose time is the top of the engine's
 event queue. Runs without queued traffic therefore fast-forward across
-empty frames without touching RNG, channel state or energy.
+empty frames without touching RNG, channel state or energy, traced or
+not. A trace writes one `skip from=<i> to=<j>` line for skipped frames i
+to j - 1 (their schedule airtime is FrameGeometry.sink_tx_us), and `eis`,
+`frame` and schedule `tx-start`/`tx-end` lines only for built frames.
 
 A member's ledger takes its baseline only when it is read: by the
 control period, for the residual energy of each claimant, and by
@@ -191,11 +194,8 @@ class FpsMac(ArrivalProcess):
         # The time up to which each member's ledger holds its baseline.
         self._settled = [0] * n
 
-        # Per-frame state; only one frame is in flight at a time.
+        # Set by the EIS handlers of the one frame in flight, read by its control period.
         self._mode = MODE_PERIODIC
-        self._snapshot = {}
-        self._contenders = []
-        self._transmitters = []
         self._eis_outcome = "empty"
 
     # -- lifecycle ------------------------------------------------------
@@ -246,7 +246,7 @@ class FpsMac(ArrivalProcess):
 
     def _frame_start(self, _arg) -> None:
         f = self.eng.now
-        if not self._holding and self.eng.trace is None:
+        if not self._holding:
             self._fast_forward(f)
             return
         emq = self._emq
@@ -260,8 +260,6 @@ class FpsMac(ArrivalProcess):
             if ne:
                 contenders.append(m)
 
-        self._snapshot = snapshot
-        self._contenders = contenders
         self._mode = MODE_PERIODIC
         self._eis_outcome = "empty"
 
@@ -269,7 +267,6 @@ class FpsMac(ArrivalProcess):
         for m in contenders:
             if self._rng[m].random() < self.cfg.eis_persistence:
                 transmitters.append(m)
-        self._transmitters = transmitters
         if contenders:
             self._eis_outcome = "no-tx" if not transmitters else "pending"
         if self.eng.trace is not None:
@@ -278,8 +275,8 @@ class FpsMac(ArrivalProcess):
                 f"idx={f // self.geom.frame_len} contenders={len(contenders)} transmitters={len(transmitters)}",
             )
         if transmitters:
-            self.eng.schedule(f + self.cfg.cca_us, SINK, self._eis_transmit, None)
-        self.eng.schedule(f + self.geom.eis_len, SINK, self._control, None)
+            self.eng.schedule(f + self.cfg.cca_us, SINK, self._eis_transmit, transmitters)
+        self.eng.schedule(f + self.geom.eis_len, SINK, self._control, (snapshot, contenders))
 
         nxt = f + self.geom.frame_len
         if nxt < self.eng.duration_us:
@@ -297,18 +294,19 @@ class FpsMac(ArrivalProcess):
         top is the next arrival's time.
         """
         frame_len = self.geom.frame_len
-        d = self.eng.duration_us
-        ta = self.eng.queue.peek()
-        if ta < d:
-            # The first frame starting at or after ta, and never f itself.
-            nxt = f + max(-(-(ta - f) // frame_len), 1) * frame_len
-            if nxt < d:
-                self.eng.schedule(nxt, SINK, self._frame_start, None)
+        idx = f // frame_len
+        frames = -(-self.eng.duration_us // frame_len)  # those starting before the end
+        # The first frame starting at or after the next arrival, never f itself.
+        nxt = min(max(-(-self.eng.queue.peek() // frame_len), idx + 1), frames)
+        if nxt < frames:
+            self.eng.schedule(nxt * frame_len, SINK, self._frame_start, None)
+        if self.eng.trace is not None:
+            self.eng.trace(f, SINK, "skip", f"from={idx} to={nxt}")
 
-    def _eis_transmit(self, _arg) -> None:
+    def _eis_transmit(self, transmitters: list[int]) -> None:
         start = self.eng.now
         end = start + self.geom.ind_air
-        for m in self._transmitters:
+        for m in transmitters:
             self._adjust(m, RX, TX, start, end)
             label = f" idx={start // self.geom.frame_len}" if self.eng.trace is not None else ""
             self.eng.begin_tx(
@@ -340,7 +338,8 @@ class FpsMac(ArrivalProcess):
         self._mode = MODE_EMERGENCY
         self._eis_outcome = f"winner={winner}"
 
-    def _control(self, _arg) -> None:
+    def _control(self, claims: tuple[dict[int, tuple[int, int]], list[int]]) -> None:
+        snapshot, contenders = claims
         f = self.eng.now - self.geom.eis_len
         idx = f // self.geom.frame_len
         # A claimant's residual energy counts this whole frame's baseline,
@@ -349,11 +348,11 @@ class FpsMac(ArrivalProcess):
         mode = self._mode
         # Contenders that did not unlock emergency mode burn one retry frame.
         if mode != MODE_EMERGENCY:
-            for m in self._contenders:
+            for m in contenders:
                 self._bump_retry(m, EMERGENCY)
 
         requests = {}
-        for m, (ne, nn) in self._snapshot.items():
+        for m, (ne, nn) in snapshot.items():
             total = ne + nn
             if total > self.cfg.slots_per_frame:
                 total = self.cfg.slots_per_frame

@@ -3,8 +3,11 @@
 Low-priority packets travel as fragments separated by a fixed gap; the gap
 is longer than the emergency contention worst case (short IFS plus maximum
 backoff) but shorter than the low-priority IFS, so an emergency frame
-always wins the spectrum between two fragments while low-priority senders
-can never cut into someone else's gap. Emergency packets go out whole.
+always wins the spectrum between two fragments. The gap does not keep
+other low-priority senders out: a backoff meets the channel again only at
+its end, so a sender whose sense window was clean before someone else's
+fragment may start inside that fragment's gap. Emergency packets go out
+whole.
 
 The sink (node 0) acknowledges every clean frame; a sender that misses an
 ack retries the same frame after re-contending, and drops the packet

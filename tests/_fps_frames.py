@@ -1,0 +1,51 @@
+"""Which fps frames a trace says were built, checked against its own queues.
+
+fps builds a frame (an `eis` line at its start, a `frame` line once its
+control period begins) exactly when the frame's start finds a packet
+queued, and covers every other frame with a `skip from=<i> to=<j>` line
+for frames i to j - 1. Queue occupancy is read from the same trace: each
+`arrival` adds a packet, each `delivery` and `drop` takes one away. A frame
+starting at f sees the arrivals before f only, because the cluster head's
+events go first at equal times, and no packet leaves at a frame start.
+"""
+
+from priomac.engine import SINK
+
+
+def assert_frames_follow_the_queues(rec, geom, duration_us):
+    """Check the frame lines of trace records (time_us, node, kind, detail).
+
+    Every frame starting before the run's end is built or skipped exactly
+    once, and built exactly when its start finds a packet queued. Returns
+    the built and the skipped frame indices.
+    """
+    frame_len = geom.frame_len
+    built, skipped, controlled = [], [], []
+    queued = []  # (time, packets queued from then on), in time order
+    held = 0
+    for t, n, kind, detail in rec:
+        if kind in ("arrival", "delivery", "drop"):
+            held += 1 if kind == "arrival" else -1
+            queued.append((t, held))
+        elif kind == "eis":
+            i = int(detail.split()[0].removeprefix("idx="))
+            assert (t, n) == (i * frame_len, SINK), (t, n, detail)
+            built.append(i)
+        elif kind == "frame":
+            controlled.append(int(detail.split()[0].removeprefix("idx=")))
+        elif kind == "skip":
+            a, b = (int(f.split("=")[1]) for f in detail.split())
+            assert (t, n) == (a * frame_len, SINK) and a < b, (t, n, detail)
+            skipped.extend(range(a, b))
+
+    frames = -(-duration_us // frame_len)
+    assert sorted(built + skipped) == list(range(frames)), "frames not tiled exactly once"
+    assert controlled == [i for i in built if i * frame_len + geom.eis_len <= duration_us]
+    built_set = set(built)
+    j = held = 0
+    for i in range(frames):
+        while j < len(queued) and queued[j][0] < i * frame_len:
+            held = queued[j][1]
+            j += 1
+        assert (i in built_set) == (held > 0), (i, held)
+    return built, skipped

@@ -19,6 +19,8 @@ from priomac.fuzzy import priority_score
 from priomac.metrics import RX, SLEEP, TX, EnergyLedger, MetricsCollector
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, build_population
 
+from _fps_frames import assert_frames_follow_the_queues
+
 
 # -- frame geometry ----------------------------------------------------------
 
@@ -294,8 +296,8 @@ def oracle_state_us(geom, duration, node_ids, rec):
 
 LAST = 40  # the frame the runs below end in or after
 # Member 2's emergency wins frame LAST's EIS and rides slot 0, member 1's
-# packet slot 1; members 3 and 4 send early, before empty frames that an
-# untraced run fast-forwards.
+# packet slot 1; members 3 and 4 send early, before empty frames that the
+# run fast-forwards.
 ENDINGS = [
     member(1, normal_phase=(LAST - 1) * FRAME + 100),
     member(2, emergency=True, em_phase=(LAST - 1) * FRAME + 200),
@@ -320,7 +322,8 @@ ENDINGS = [
 ], ids=["indication", "eis-ack", "sched-start", "sched", "sched-end", "guard",
         "slot0-data", "slot0-ack", "slot1-data", "frames-1", "frames", "frames+1"])
 def test_every_nodes_energy_matches_the_frame_arithmetic(offset):
-    # The untraced run fast-forwards; the traced one starts every frame.
+    # Traced or not, the run fast-forwards across the empty frames between
+    # the early packets and the late ones.
     duration = LAST * FRAME + offset
     rep, rec, _ = run_fps(ENDINGS, duration, eis_persistence=1.0, ack_loss_p=0.0)
     assert (LAST * FRAME + 128, 2, "tx-start", f"kind=indication idx={LAST}") in rec
@@ -331,7 +334,7 @@ def test_every_nodes_energy_matches_the_frame_arithmetic(offset):
 
 
 def test_trace_does_not_change_the_outcome():
-    # The empty-frame fast-forward only runs untraced; reports must agree.
+    # A trace only writes lines; the report must not depend on it.
     nodes = [member(1, normal_phase=5000), member(2, emergency=True, em_phase=90_000),
              member(3, normal_phase=70_000)]
     rep_traced, _, _ = run_fps(nodes, 10 * FRAME, seed=5)
@@ -352,7 +355,7 @@ def run_untraced(nodes, duration_us, seed=1, **cfg_kwargs):
     return metrics.summarize(ledger, duration_us, mac.queues)
 
 
-# Sparse traffic: 10 s intervals are about 180 frames, so an untraced run
+# Sparse traffic: 10 s intervals are about 180 frames, so a run
 # fast-forwards across gaps of many frames between the few busy ones.
 SPARSE = [member(1, normal_phase=5000), member(2, emergency=True, em_phase=3_000_000),
           member(3, normal_phase=2_400_000), member(4, emergency=True, em_phase=9_000_000,
@@ -369,15 +372,16 @@ RUN_FRAMES = 300  # 16.7 s: every member sends, and detector 4 sends both classe
 ], ids=["k-frames", "k-frames+1", "k-frames-1", "half-frame", "in-control"])
 @pytest.mark.parametrize("seed,ack_loss_p", [(1, 0.01), (2, 0.01), (7, 0.5)])
 def test_fast_forward_matches_frame_by_frame_accrual(duration, seed, ack_loss_p):
-    # A trace turns the fast-forward off, so the traced run starts every
-    # frame; the untraced one jumps over empty frames. Equal reports show
-    # the fast-forward schedules exactly the frames that have claimants.
+    # Traced and untraced runs take the one frame path. The trace's frame
+    # and skip lines tile the run, a frame is built exactly when its start
+    # finds a packet queued, and every node's time adds up frame by frame.
     traced, rec, _ = run_fps(SPARSE, duration, seed=seed, ack_loss_p=ack_loss_p)
     assert run_untraced(SPARSE, duration, seed=seed, ack_loss_p=ack_loss_p) == traced
+    ids = [m.node_id for m in SPARSE]
+    assert traced.node_state_us == oracle_state_us(GEOM, duration, ids, rec)
+    built, skipped = assert_frames_follow_the_queues(rec, GEOM, duration)
     if duration > FRAME:
-        busy = {d.split()[0] for _, _, k, d in rec if k == "frame" and "slots=[]" not in d}
-        frames = sum(1 for _, _, k, _ in rec if k == "frame")
-        assert 0 < len(busy) < frames // 10, "scenario has no long empty gaps"
+        assert 0 < 9 * len(built) <= len(skipped), "scenario has no long empty gaps"
 
 
 def test_data_slots_never_collide_under_load():
@@ -436,19 +440,20 @@ class CheckedQueue(EventQueue):
 
 
 # (normal interval, duration): busy traffic shares every frame; sparse
-# traffic leaves long empty gaps that an untraced run fast-forwards.
+# traffic leaves long empty gaps that the run fast-forwards.
 TRAFFIC = {"busy": (300_000, 1000 * FRAME), "sparse": (10_000_000, 2000 * FRAME)}
 
 
-@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+# A traced run takes the same frame path (the fast-forward test above checks
+# it against its trace), so each case runs once, untraced.
+@pytest.mark.parametrize("trace", [None], ids=["untraced"])
 @pytest.mark.parametrize("traffic", sorted(TRAFFIC))
 @pytest.mark.parametrize("seed", [1, 2])
-def test_holding_set_is_the_members_with_queued_packets(traffic, seed, traced):
+def test_holding_set_is_the_members_with_queued_packets(traffic, seed, trace):
     # Half the acks are lost and a packet gets three retry frames, so packets
     # leave their queues by delivery and by drop, in both classes.
     interval, duration = TRAFFIC[traffic]
     nodes = build_population(20, 18, seed, normal_interval_us=interval)
-    trace = (lambda *_: None) if traced else None
     eng, mac, metrics, ledger = make_fps(
         nodes, duration, seed=seed, trace=trace, normal_interval_us=interval,
         ack_loss_p=0.5, fps_max_retry_frames=3,

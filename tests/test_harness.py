@@ -312,6 +312,14 @@ def test_cli_rejects_config_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert name in err, err
+    # A sweep needs at least one seed and one worker; nothing runs otherwise.
+    for flag, value in (("--seeds", "0"), ("--seeds", "-3"), ("--jobs", "0"), ("--jobs", "-1")):
+        argv = ["sweep", "--experiment", "fig5", "--out", str(tmp_path), flag, value]
+        assert main(argv) == 2, (flag, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert flag in err, err
+    assert not list(tmp_path.glob("fig5.*"))
 
 
 def out_of_spec(field):

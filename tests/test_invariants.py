@@ -3,7 +3,9 @@
 Configs are drawn across both protocols, with the fps guard near one CCA
 and short durations that are not frame multiples. A config the spec
 refuses is skipped; one it accepts must run to its end without an
-exception, conserve every packet and account for every node's time.
+exception, conserve every packet and account for every node's time. Run
+again with a trace, it must give the same report; an fps trace must also
+account for every frame, built or skipped (see _fps_frames).
 """
 
 import dataclasses
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 from priomac.config import SimConfig
 from priomac.fps import FrameGeometry
 from priomac.harness import run_once
+
+from _fps_frames import assert_frames_follow_the_queues
 
 
 @st.composite
@@ -60,3 +64,7 @@ def test_every_accepted_config_runs_and_closes(protocol, data):
         assert stats.in_flight >= 0
     for node, spans in rep.node_state_us.items():
         assert sum(spans) == cfg.duration_us, node
+    rec = []
+    assert run_once(cfg, trace=lambda *line: rec.append(line)) == rep
+    if protocol == "fps":
+        assert_frames_follow_the_queues(rec, FrameGeometry(cfg), cfg.duration_us)
