@@ -130,7 +130,8 @@ def main(argv=None) -> int:
                          help="number of seeds per point (1..N)")
     p_sweep.add_argument("--out", default=".", metavar="DIR")
     p_sweep.add_argument("--jobs", type=_at_least_one, default=1, metavar="N",
-                         help="concurrent worker processes")
+                         help="concurrent worker processes, at most one per CPU "
+                              "and one per run (default 1: runs in this process)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_trace = sub.add_parser("trace", help="single run with a full event trace")

@@ -13,6 +13,16 @@ The sink (node 0) acknowledges every clean frame; a sender that misses an
 ack retries the same frame after re-contending, and drops the packet
 after frog_max_retries consecutive failures of one frame. An emergency
 exchange in between neither renews nor spends a fragment's budget.
+
+An exchange (sense window, backoff, data frame, the sink's ack) runs as
+four events: the CCA, the end of the backoff, and the ends of the two
+frames. When nothing is on the air as its attempt starts, and even its
+longest backoff would end the ack strictly before the next queued event
+and by the run's end, nothing can touch it: it is settled at once by
+arithmetic, with the same backoff draw, energy spans, reassembly and trace
+lines, and the node's next fragment is tried the same way. Reports,
+traces and sweep files are the same either way; only the number of
+events dispatched differs.
 """
 
 from __future__ import annotations
@@ -164,38 +174,139 @@ class FrogMac(ArrivalProcess):
             self.eng.cancel(pending)
             self._start_attempt(node, self.eng.now)
 
-    # -- channel access -------------------------------------------------
+    # -- one exchange ---------------------------------------------------
 
     # While a node contends, its attempt is an emergency exactly when its
     # emergency queue is non-empty: an emergency arriving during a normal
     # attempt restarts the attempt, and a packet leaves its queue only at an
     # ack or an ack timeout, never while its node contends.
 
-    def _start_attempt(self, node: int, at: int) -> None:
+    def _contention(self, node: int) -> tuple[int, int]:
+        """(IFS, backoff slots) of the node's attempt: its sense window is
+        the IFS that ends at the CCA."""
+        cfg = self.cfg
         if self._emq[node]:
-            ifs = self.cfg.ifs_high_us
-        else:
-            ifs = self.cfg.ifs_low_us
-            if self._frags[node] is None:
-                self._frags[node] = fragment(
-                    self._nq[node][0], self.fragment_size, self.cfg.header_bytes
-                )
-                self._frag_idx[node] = 0
+            return cfg.ifs_high_us, cfg.backoff_slots_high
+        return cfg.ifs_low_us, cfg.backoff_slots_low
+
+    def _backoff(self, node: int, slots: int) -> int:
+        return self._rng[node].randrange(slots) * self.cfg.backoff_unit_us
+
+    def _data_frame(self, node: int) -> tuple[int, str, tuple, str]:
+        """The node's next data frame: (bytes, kind, (packet, idx, fragment),
+        trace label); idx is -1 and fragment None for a whole emergency."""
+        traced = self.eng.trace is not None
+        if self._emq[node]:
+            packet = self._emq[node][0]
+            label = f" id={packet.pid}" if traced else ""
+            nbytes = packet.payload_bytes + self.cfg.header_bytes
+            return nbytes, self.DATA_WHOLE, (packet, -1, None), label
+        packet = self._nq[node][0]
+        frags = self._frags[node]
+        if frags is None:  # the packet's first frame: a fresh cursor
+            frags = self._frags[node] = fragment(
+                packet, self.fragment_size, self.cfg.header_bytes
+            )
+            self._frag_idx[node] = 0
+        idx = self._frag_idx[node]
+        frag = frags[idx]
+        label = f" id={packet.pid} frag={idx + 1}/{frag.count}" if traced else ""
+        return frag.payload_bytes + frag.header_bytes, self.DATA_FRAG, (packet, idx, frag), label
+
+    def _ack_label(self, target: int, packet: Packet) -> str:
+        return f" to={target} id={packet.pid}" if self.eng.trace is not None else ""
+
+    def _received(self, packet: Packet, frag: Fragment | None) -> bool:
+        """The sink takes a clean data frame; True when its ack is final.
+
+        A delivered packet has left its queue and is never sent again, so
+        the ack is final for a clean whole frame, or once every fragment has
+        reached the sink.
+        """
+        if frag is None:
+            return True
+        self.reassembler.receive(frag)
+        return self.reassembler.is_complete(packet.pid)
+
+    # -- channel access -------------------------------------------------
+
+    def _start_attempt(self, node: int, at: int) -> None:
+        """Contend from `at`: settle exchanges by arithmetic while they
+        qualify (see _settle), then queue the next one's CCA as an event."""
+        ack = self._settle(node, at)
+        while ack is not None:
+            at = self._ack_received(*ack)
+            if at is None:
+                return  # the node has nothing left to send
+            ack = self._settle(node, at)
+        ifs, _slots = self._contention(node)
         self._pending[node] = self.eng.schedule(at + ifs, node, self._cca_done, node)
+
+    def _settle(self, node: int, at: int):
+        """Run the exchange that contends from `at` as arithmetic, if it qualifies.
+
+        It qualifies when nothing is on the air and even the longest backoff
+        ends the ack strictly before the next queued event and no later than
+        the run's end. Then nothing can happen between now and the ack's
+        end: a node acts, and a frame starts or ends, only at an event. So
+        the sense window is clear, the backoff draw (from the node's own
+        substream, as at a CCA) is the one the events would make, and
+        neither frame can be corrupted. The spans, the sink's reassembly,
+        the channel's last end and the trace lines are those the events
+        would leave, and a node that senses later sees the same channel.
+        Returns the ack's (target, final, packet, idx) with the clock at the
+        ack's end, or None, having drawn nothing, when the exchange must run
+        through events.
+        """
+        eng = self.eng
+        nxt = eng.queue.peek()
+        if nxt is not None and nxt <= at:
+            return None  # as when deferring to a frame on the air: its end is queued
+        channel = eng.channel
+        if channel.busy_until(eng.now) != eng.now:
+            return None  # a frame on the air outlasts the exchange
+        ifs, slots = self._contention(node)
+        nbytes, kind, meta, label = self._data_frame(node)
+        data_air = tx_duration_us(nbytes, eng.bitrate_bps)
+        ack_air = self.ack_air_us
+        cca = at + ifs
+        longest = cca + (slots - 1) * self.cfg.backoff_unit_us + data_air + ack_air
+        if longest > eng.duration_us or (nxt is not None and longest >= nxt):
+            return None
+
+        start = cca + self._backoff(node, slots)
+        data_end = start + data_air
+        end = data_end + ack_air
+        packet, idx, frag = meta
+        final = self._received(packet, frag)
+        ledger, since = self.ledger, self._since
+        ledger.add(node, RX, start - since[node])
+        ledger.add(node, TX, data_air)
+        since[node] = data_end
+        ledger.add(SINK, RX, data_end - since[SINK])
+        ledger.add(SINK, TX, ack_air)
+        since[SINK] = end
+        channel._max_done_end = end
+        trace = eng.trace
+        if trace is not None:
+            # The lines Engine.begin_tx and the frames' ends write.
+            ack_label = self._ack_label(node, packet)
+            trace(start, node, "tx-start", f"kind={kind}{label}")
+            trace(data_end, node, "tx-end", f"kind={kind}{label} corrupted=0")
+            trace(data_end, SINK, "tx-start", f"kind={self.ACK}{ack_label}")
+            trace(end, SINK, "tx-end", f"kind={self.ACK}{ack_label} corrupted=0")
+        eng.now = end
+        return node, final, packet, idx
 
     def _cca_done(self, node: int) -> None:
         eng = self.eng
-        cfg = self.cfg
-        if self._emq[node]:
-            ifs, slots = cfg.ifs_high_us, cfg.backoff_slots_high
-        else:
-            ifs, slots = cfg.ifs_low_us, cfg.backoff_slots_low
-        # The sense window is the IFS that ends now.
+        ifs, slots = self._contention(node)
         if eng.channel.busy_in(eng.now - ifs, eng.now):
             self._defer(node)
             return
-        backoff = self._rng[node].randrange(slots) * cfg.backoff_unit_us
-        self._pending[node] = eng.schedule(eng.now + backoff, node, self._tx_start, node)
+        self._pending[node] = eng.schedule(
+            eng.now + self._backoff(node, slots), node, self._tx_start, node
+        )
 
     def _defer(self, node: int) -> None:
         until = self.eng.channel.busy_until(self.eng.now)
@@ -206,25 +317,7 @@ class FrogMac(ArrivalProcess):
         if eng.channel.busy_at(eng.now):
             self._defer(node)  # someone else started during our backoff
             return
-        cfg = self.cfg
-        if self._emq[node]:
-            packet = self._emq[node][0]
-            nbytes = packet.payload_bytes + cfg.header_bytes
-            kind = self.DATA_WHOLE
-            meta = (packet, -1, None)
-            label = f" id={packet.pid}" if eng.trace is not None else ""
-        else:
-            idx = self._frag_idx[node]
-            frag = self._frags[node][idx]
-            packet = self._nq[node][0]
-            nbytes = frag.payload_bytes + frag.header_bytes
-            kind = self.DATA_FRAG
-            meta = (packet, idx, frag)
-            label = (
-                f" id={packet.pid} frag={idx + 1}/{frag.count}"
-                if eng.trace is not None
-                else ""
-            )
+        nbytes, kind, meta, label = self._data_frame(node)
         self._set_state(node, TX)
         self._pending[node] = ACK_WAIT
         eng.begin_tx(node, nbytes, kind, self._on_data_end, meta, label)
@@ -246,30 +339,22 @@ class FrogMac(ArrivalProcess):
             )
             return
         # The sink acks at once, and the ack's end settles the wait.
-        # A delivered packet has left its queue and is never sent again, so
-        # the ack is final for a clean whole frame, or once every fragment
-        # has reached the sink.
-        if frag is not None:
-            self.reassembler.receive(frag)
-            final = self.reassembler.is_complete(packet.pid)
-        else:
-            final = True
-        self._send_ack(node, final, packet, idx)
+        self._send_ack(node, self._received(packet, frag), packet, idx)
 
     def _send_ack(self, target: int, final: bool, packet: Packet, idx: int) -> None:
-        eng = self.eng
         self._set_state(SINK, TX)
-        label = f" to={target} id={packet.pid}" if eng.trace is not None else ""
-        eng.begin_tx(
+        self.eng.begin_tx(
             SINK, self.cfg.ack_bytes, self.ACK, self._on_ack_end,
-            (target, final, packet, idx), label,
+            (target, final, packet, idx), self._ack_label(target, packet),
         )
 
     def _on_ack_end(self, tx, corrupted: bool) -> None:
         self._set_state(SINK, RX)
         target, final, packet, idx = tx.meta
         if not corrupted:
-            self._ack_received(target, final, packet, idx)
+            at = self._ack_received(target, final, packet, idx)
+            if at is not None:
+                self._start_attempt(target, at)
         else:
             # The target misses its ack; it times out ack_slack_us later.
             self.eng.schedule(
@@ -279,30 +364,33 @@ class FrogMac(ArrivalProcess):
                 (target, packet),
             )
 
-    def _ack_received(self, node: int, final: bool, packet: Packet, idx: int) -> None:
+    def _ack_received(self, node: int, final: bool, packet: Packet, idx: int) -> int | None:
+        """The node takes its ack; returns when it contends next, or None
+        when it goes idle."""
         self._pending[node] = None
         if final:
             self._deliver(node, packet)
-            self._next_packet(node, packet)
-        else:
-            self._retries[NORMAL][node] = 0  # each fragment gets its own budget
-            self._frag_idx[node] = idx + 1
-            self._start_attempt(node, self.eng.now + self.cfg.fragment_gap_us)
+            return self._next_packet(node, packet)
+        self._retries[NORMAL][node] = 0  # each fragment gets its own budget
+        self._frag_idx[node] = idx + 1
+        return self.eng.now + self.cfg.fragment_gap_us
 
     def _ack_timeout(self, arg) -> None:
         node, packet = arg
         self._pending[node] = None
+        at = self.eng.now
         if self._fail(node, packet, self.cfg.frog_max_retries):
-            self._next_packet(node, packet)
-        else:
-            self._start_attempt(node, self.eng.now)
+            at = self._next_packet(node, packet)
+        if at is not None:
+            self._start_attempt(node, at)
 
-    def _next_packet(self, node: int, gone: Packet) -> None:
-        """Move on from a packet that has left its queue: the next packet, or IDLE."""
+    def _next_packet(self, node: int, gone: Packet) -> int | None:
+        """Move on from a packet that has left its queue: now, when the node
+        has another packet to send, or None once it goes IDLE."""
         if gone.klass == NORMAL:
             self._frags[node] = None  # the next normal packet gets a fresh cursor
             self.reassembler.forget(gone.pid)
         if self._emq[node] or self._nq[node]:
-            self._start_attempt(node, self.eng.now)
-        else:
-            self._set_state(node, IDLE)
+            return self.eng.now
+        self._set_state(node, IDLE)
+        return None

@@ -147,13 +147,19 @@ def sweep_configs(experiment: str, base: SimConfig, seeds) -> list[SimConfig]:
 
 
 def run_rows(configs, jobs: int = 1) -> list[dict]:
-    """One sweep row per config, in config order, over up to `jobs` processes."""
-    if jobs > 1:
+    """One sweep row per config, in config order, over up to `jobs` processes.
+
+    No more workers start than there are configs or CPUs; with one, the
+    rows are computed in this process.
+    """
+    configs = list(configs)
+    workers = min(jobs, len(configs), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: it pulls in multiprocessing, which every other
         # process would pay for in start-up time and memory.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_row, configs, chunksize=1))
     return [_run_row(cfg) for cfg in configs]
 

@@ -8,6 +8,8 @@ from priomac.frog import FrogMac, SinkReassembler, fragment
 from priomac.metrics import EnergyLedger, MetricsCollector
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet, build_population
 
+from _frog_frames import EventPathFrogMac, assert_frames_are_sound
+
 
 def pkt(payload=34, klass=NORMAL):
     return Packet(1, 1, klass, 0, payload)
@@ -107,12 +109,14 @@ def test_timing_rejects_out_of_range_spacing(field, kwargs):
 
 # -- MAC scenarios ---------------------------------------------------------
 
-def make_mac(nodes, duration_us, fragment_size=8, seed=1, trace=None, **overrides):
+def make_mac(
+    nodes, duration_us, fragment_size=8, seed=1, trace=None, mac_class=FrogMac, **overrides
+):
     eng = Engine(duration_us=duration_us, trace=trace)
     metrics = MetricsCollector()
     cfg = SimConfig(seed=seed, fragment_size=fragment_size, **overrides)
     ledger = EnergyLedger([SINK] + [n.node_id for n in nodes], cfg.power_mw)
-    mac = FrogMac(eng, nodes, metrics, ledger, cfg)
+    mac = mac_class(eng, nodes, metrics, ledger, cfg)
     return eng, mac, metrics, ledger
 
 
@@ -281,6 +285,27 @@ def test_the_sense_window_is_the_ifs_before_the_cca(overlap):
     assert tx_starts(rec)[0] == (first, "kind=data-frag id=0 frag=1/5")
 
 
+def test_a_foreign_frame_on_the_air_keeps_the_exchange_on_events():
+    # Node 99, outside the MAC, holds the channel from before the packet
+    # arrives until after the packet's first exchange could have ended, so
+    # no event lies in the way but the sender must still defer. It does, as
+    # its events do, and sends one IFS after the foreign frame.
+    def run(mac_class):
+        rec = []
+        eng, mac, metrics, ledger = make_mac(
+            lone_sender(5_000), 40_000, trace=lambda *line: rec.append(line),
+            mac_class=mac_class,
+        )
+        eng.schedule(4_000, 99, lambda _: eng.begin_tx(99, 200, "noise"))
+        mac.start()
+        eng.run()
+        return rec
+
+    rec = run(FrogMac)
+    assert rec == run(EventPathFrogMac)
+    assert tx_starts(rec)[0][0] >= 4_000 + tx_duration_us(200) + SimConfig().ifs_low_us
+
+
 def test_a_normal_arrival_leaves_a_contending_normal_attempt_alone():
     # Packets arrive every 500 us, inside the 1000 us low-priority IFS; only
     # an emergency may restart a normal attempt that is still contending.
@@ -318,7 +343,11 @@ def run_jammed(target, em_at=None):
 
     The jammer is node 99, outside the MAC. With em_at, the sender's own
     emergency arrives then; only its fragments' frames are jammed, so the
-    emergency goes through. Returns the trace, the report and the MAC.
+    emergency goes through. The jammer reacts to the data frame's start
+    line and end handler, which come only from a frame's events, while an
+    exchange settled by arithmetic is written in one go and has no end
+    handler; so the MAC here runs every exchange through events. Returns the trace, the
+    report and the MAC; the trace passes the frame checks.
     """
     nodes = lone_sender()
     if em_at is not None:
@@ -331,7 +360,9 @@ def run_jammed(target, em_at=None):
             # One byte of noise from the frame's second microsecond on.
             eng.schedule(t + 1, 99, lambda _: eng.begin_tx(99, 1, "noise"))
 
-    eng, mac, metrics, ledger = make_mac(nodes, 400_000, trace=trace)
+    eng, mac, metrics, ledger = make_mac(
+        nodes, 400_000, trace=trace, mac_class=EventPathFrogMac
+    )
     mac.start()
 
     on_data_end = mac._on_data_end
@@ -346,6 +377,7 @@ def run_jammed(target, em_at=None):
     if target == "ack":
         mac._on_data_end = jam
     eng.run()
+    assert assert_frames_are_sound(rec, mac.cfg.frog_max_retries) > 0
     return rec, metrics.summarize(ledger, 400_000, mac.queues), mac
 
 
@@ -383,6 +415,37 @@ def test_a_retry_waits_out_the_ack_timeout(target):
         assert floor <= retry <= floor + (t.backoff_slots_low - 1) * t.backoff_unit_us
 
 
+def test_a_corrupted_final_fragment_is_sent_again_before_delivery():
+    # A jammer outside the MAC spoils the first try of the last fragment
+    # only. The sender times out and sends it again, and the packet is
+    # delivered at the clean ack of that second try, not on the spoiled frame.
+    rec, jammed = [], []
+
+    def trace(t, n, k, d):
+        rec.append((t, n, k, d))
+        if n == 1 and k == "tx-start" and d.endswith("frag=5/5") and not jammed:
+            jammed.append(t)
+            eng.schedule(t + 1, 99, lambda _: eng.begin_tx(99, 1, "noise"))
+
+    eng, mac, metrics, ledger = make_mac(
+        lone_sender(), 60_000, trace=trace, mac_class=EventPathFrogMac
+    )
+    mac.start()
+    eng.run()
+    assert assert_frames_are_sound(rec, mac.cfg.frog_max_retries) == 1
+    assert tx_starts(rec)[-2:] == [
+        (jammed[0], "kind=data-frag id=0 frag=5/5"),
+        (tx_starts(rec)[-1][0], "kind=data-frag id=0 frag=5/5"),
+    ]
+    ends = [(n, d) for t, n, k, d in rec if k == "tx-end" and n in (1, SINK)]
+    assert ends[-3:] == [
+        (1, "kind=data-frag id=0 frag=5/5 corrupted=1"),
+        (1, "kind=data-frag id=0 frag=5/5 corrupted=0"),
+        (SINK, "kind=ack to=1 id=0 corrupted=0"),
+    ]
+    assert metrics.summarize(ledger, 60_000, mac.queues).classes[NORMAL].delivered == 1
+
+
 def test_the_sink_keeps_fragments_only_of_queued_packets():
     # A packet's reassembly entry goes when the packet leaves its queue, so
     # the sink holds at most one entry per member, not one per packet sent.
@@ -402,3 +465,46 @@ def test_the_sink_keeps_fragments_only_of_queued_packets():
     assert rep.classes[NORMAL].delivered > 0 and rep.classes[NORMAL].dropped > 0
     heads = {q[0].pid for q in mac._nq if q}
     assert set(mac.reassembler._seen) <= heads
+
+
+@pytest.mark.parametrize("mac_class", [FrogMac, EventPathFrogMac], ids=["shipped", "events"])
+@pytest.mark.parametrize("bound,offset", [
+    ("next-event", 0), ("next-event", 1), ("run-end", -1), ("run-end", 0),
+])
+def test_an_exchange_settles_only_before_the_next_event_and_by_the_run_end(
+    mac_class, bound, offset
+):
+    # A lone sender's packet goes as one fragment after a one-slot backoff,
+    # so its exchange ends at the same instant T for every draw. A probe
+    # owned by the sink and queued before the run fires at T + offset ahead
+    # of the ack's end. The shipped MAC settles the exchange without a frame
+    # event only if it ends strictly before the probe and no later than the
+    # run's end; either way it leaves what the events leave.
+    cfg = SimConfig(fragment_size=34, backoff_slots_low=1)
+    end = (
+        cfg.ifs_low_us + tx_duration_us(34 + cfg.header_bytes) + tx_duration_us(cfg.ack_bytes)
+    )
+    duration = end + offset if bound == "run-end" else 40_000
+    eng, mac, metrics, ledger = make_mac(
+        lone_sender(), duration, fragment_size=34, backoff_slots_low=1, mac_class=mac_class
+    )
+    frames = []
+    begin_tx = eng.begin_tx
+
+    def recorded_begin_tx(src, *args):
+        frames.append(src)
+        return begin_tx(src, *args)
+
+    eng.begin_tx = recorded_begin_tx
+    queued = []
+    if bound == "next-event":
+        eng.schedule(end + offset, SINK, lambda _: queued.append(len(mac._nq[1])))
+    mac.start()
+    eng.run()
+    settled = offset >= (1 if bound == "next-event" else 0)
+    assert (frames == []) == (settled and mac_class is FrogMac)
+    delivered = metrics.summarize(ledger, duration, mac.queues).classes[NORMAL].delivered
+    if bound == "next-event":
+        assert queued == [1 - offset] and delivered == 1
+    else:
+        assert delivered == (offset >= 0)

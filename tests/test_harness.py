@@ -219,6 +219,36 @@ def test_sequential_and_concurrent_sweeps_are_identical(tmp_path):
         assert a.read() == b.read()
 
 
+@pytest.mark.parametrize("cpus,workers", [(4, 3), (None, 1), (1, 1)])
+def test_a_sweep_starts_no_more_workers_than_runs_or_cpus(monkeypatch, cpus, workers):
+    # The pool is replaced by a recorder that maps in this process, so no
+    # process starts whatever --jobs asks for. Three runs on four CPUs get
+    # three workers; one CPU, or an unknown count, runs in this process.
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    configs = [small(duration_s=1.0, seed=s) for s in (1, 2, 3)]
+    rows = harness.run_rows(configs, jobs=10**6)
+    assert pools == ([workers] if workers > 1 else [])
+    assert rows == harness.run_rows(configs, jobs=1)
+
+
 # -- command line --------------------------------------------------------------
 
 def test_cli_run_reports(capsys):

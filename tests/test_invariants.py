@@ -5,20 +5,25 @@ and short durations that are not frame multiples. A config the spec
 refuses is skipped; one it accepts must run to its end without an
 exception, conserve every packet and account for every node's time. Run
 again with a trace, it must give the same report; an fps trace must also
-account for every frame, built or skipped (see _fps_frames).
+account for every frame, built or skipped (see _fps_frames). A frog trace
+must pass the frame checks of _frog_frames, and a MAC that runs every
+exchange through events must give the same trace line for line.
 """
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from priomac import harness
 from priomac.config import SimConfig
 from priomac.fps import FrameGeometry
 from priomac.harness import run_once
 
 from _fps_frames import assert_frames_follow_the_queues
+from _frog_frames import EventPathFrogMac, assert_frames_are_sound
 
 
 @st.composite
@@ -68,3 +73,9 @@ def test_every_accepted_config_runs_and_closes(protocol, data):
     assert run_once(cfg, trace=lambda *line: rec.append(line)) == rep
     if protocol == "fps":
         assert_frames_follow_the_queues(rec, FrameGeometry(cfg), cfg.duration_us)
+    else:
+        assert_frames_are_sound(rec, cfg.frog_max_retries)
+        events = []
+        with mock.patch.object(harness, "FrogMac", EventPathFrogMac):
+            assert run_once(cfg, trace=lambda *line: events.append(line)) == rep
+        assert rec == events
