@@ -76,10 +76,14 @@ class Channel:
     def finish(self, src):
         """Take src's frame off the air; True if anything overlapped it."""
         entry = self._active.pop(src)
-        end = entry[1]
+        self.note_end(entry[1])
+        return bool(entry[2])
+
+    def note_end(self, end):
+        """Count a frame that ended at `end` for sensing (busy_in); a frame
+        that was never on the air here must be one nothing overlapped."""
         if self._max_done_end is None or end > self._max_done_end:
             self._max_done_end = end
-        return bool(entry[2])
 
     def busy_at(self, t):
         """True if some transmission covers instant t (half-open [start, end))."""

@@ -83,15 +83,19 @@ class Engine:
 
     # -- radio ----------------------------------------------------------
 
+    def airtime(self, nbytes: int) -> int:
+        """Airtime of a frame of nbytes at this engine's bitrate, in us."""
+        air = self._airtime.get(nbytes)
+        if air is None:
+            air = self._airtime[nbytes] = tx_duration_us(nbytes, self.bitrate_bps)
+        return air
+
     def begin_tx(
         self, src: int, nbytes: int, kind: str, on_end=None, meta=None, label: str = ""
     ) -> Transmission:
         if self.channel.on_air(src):
             raise ProtocolBug(f"node {src} is already transmitting")
-        air = self._airtime.get(nbytes)
-        if air is None:
-            air = self._airtime[nbytes] = tx_duration_us(nbytes, self.bitrate_bps)
-        end = self.now + air
+        end = self.now + (self._airtime.get(nbytes) or self.airtime(nbytes))
         self.channel.begin(src, self.now, end)
         tx = Transmission(src, end, kind, on_end, meta, label)
         if self.trace is not None:
@@ -109,6 +113,15 @@ class Engine:
             )
         if tx.on_end is not None:
             tx.on_end(tx, corrupted)
+
+    def record_tx(self, src: int, start: int, end: int, kind: str, label: str = "") -> None:
+        """Record a frame on [start, end) that nothing can overlap, with no
+        events: the channel and the trace are left as begin_tx and the
+        frame's end would leave them, clean."""
+        self.channel.note_end(end)
+        if self.trace is not None:
+            self.trace(start, src, "tx-start", f"kind={kind}{label}")
+            self.trace(end, src, "tx-end", f"kind={kind}{label} corrupted=0")
 
     # -- main loop ------------------------------------------------------
 

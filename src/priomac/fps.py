@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .config import SimConfig
-from .engine import SINK, Engine, ProtocolBug, substream, tx_duration_us
+from .engine import SINK, Engine, ProtocolBug, tx_duration_us
 from .fuzzy import priority_score
 from .metrics import RX, SLEEP, TX, EnergyLedger, MetricsCollector
 from .traffic import EMERGENCY, NORMAL, ArrivalProcess, NodeConfig
@@ -175,8 +175,7 @@ class FpsMac(ArrivalProcess):
         ledger: EnergyLedger,
         cfg: SimConfig,
     ):
-        super().__init__(eng, nodes, metrics, cfg)
-        self.ledger = ledger
+        super().__init__(eng, nodes, metrics, ledger, cfg)
         self.geom = FrameGeometry(cfg)
         self.initial_energy_uj = cfg.initial_energy_j * 1e6
         self.diag_m = cfg.area_m * math.sqrt(2.0)
@@ -188,7 +187,6 @@ class FpsMac(ArrivalProcess):
         }
 
         n = len(self._nq)
-        self._rng = [substream(cfg.seed, i) for i in range(n)]
         # Members with a non-empty queue: the claimants of the next frame.
         self._holding = set()
         # The time up to which each member's ledger holds its baseline.
@@ -218,12 +216,6 @@ class FpsMac(ArrivalProcess):
 
     # -- energy ---------------------------------------------------------
 
-    def _span(self, s: int, e: int) -> int:
-        d = self.eng.duration_us
-        if e > d:
-            e = d
-        return e - s if e > s else 0
-
     def _settle(self, m: int, t: int) -> None:
         """Add member m's baseline from where its ledger holds it up to t."""
         t0 = self._settled[m]
@@ -231,11 +223,6 @@ class FpsMac(ArrivalProcess):
         self.ledger.add(m, RX, awake)
         self.ledger.add(m, SLEEP, t - t0 - awake)
         self._settled[m] = t
-
-    def _adjust(self, node: int, from_state: int, to_state: int, s: int, e: int) -> None:
-        dt = self._span(s, e)
-        if dt:
-            self.ledger.move(node, from_state, to_state, dt)
 
     # -- traffic --------------------------------------------------------
 
@@ -307,7 +294,7 @@ class FpsMac(ArrivalProcess):
         start = self.eng.now
         end = start + self.geom.ind_air
         for m in transmitters:
-            self._adjust(m, RX, TX, start, end)
+            self._move(m, RX, TX, start, end)
             label = f" idx={start // self.geom.frame_len}" if self.eng.trace is not None else ""
             self.eng.begin_tx(
                 m, self.cfg.indication_bytes, self.IND, self._on_ind_end, m, label
@@ -322,7 +309,7 @@ class FpsMac(ArrivalProcess):
         # A clean indication means exactly one member transmitted.
         winner = tx.meta
         now = self.eng.now
-        self._adjust(SINK, RX, TX, now, now + self.geom.ack_air)
+        self._move(SINK, RX, TX, now, now + self.geom.ack_air)
         self.eng.begin_tx(
             SINK, self.cfg.ack_bytes, self.EIS_ACK, self._on_eis_ack_end, winner
         )
@@ -394,8 +381,8 @@ class FpsMac(ArrivalProcess):
         now = self.eng.now
         g = self.geom
         # Planned slot activity, charged up front: transmit, then listen for the ack.
-        self._adjust(node, SLEEP, TX, now, now + g.data_air)
-        self._adjust(node, SLEEP, RX, now + g.data_air, now + g.data_air + g.ack_air)
+        self._move(node, SLEEP, TX, now, now + g.data_air)
+        self._move(node, SLEEP, RX, now + g.data_air, now + g.data_air + g.ack_air)
         label = (
             f" id={packet.pid} slot={slot_i}" if self.eng.trace is not None else ""
         )
@@ -413,7 +400,7 @@ class FpsMac(ArrivalProcess):
             raise ProtocolBug("data slot collided; TDMA exclusivity broken")
         node, purpose, packet, slot_i = tx.meta
         now = self.eng.now
-        self._adjust(SINK, RX, TX, now, now + self.geom.ack_air)
+        self._move(SINK, RX, TX, now, now + self.geom.ack_air)
         label = f" to={node} id={packet.pid}" if self.eng.trace is not None else ""
         self.eng.begin_tx(
             SINK, self.cfg.ack_bytes, self.ACK, self._on_ack_end,

@@ -23,6 +23,12 @@ arithmetic, with the same backoff draw, energy spans, reassembly and trace
 lines, and the node's next fragment is tried the same way. Reports,
 traces and sweep files are the same either way; only the number of
 events dispatched differs.
+
+Energy is a baseline plus moves. The baseline has the sink in RX and every
+member IDLE for the whole run. A member listens while it holds a packet:
+an arrival that finds it idle moves the rest of the run from IDLE to RX,
+and running out of packets moves it back. Each data frame and each ack
+moves its airtime, clipped to the run, from its sender's RX to TX.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import SimConfig
-from .engine import SINK, Engine, substream, tx_duration_us
+from .engine import SINK, Engine
 from .metrics import IDLE, RX, TX, EnergyLedger, MetricsCollector
 from .traffic import EMERGENCY, NORMAL, ArrivalProcess, NodeConfig, Packet
 
@@ -123,50 +129,34 @@ class FrogMac(ArrivalProcess):
         ledger: EnergyLedger,
         cfg: SimConfig,
     ):
-        super().__init__(eng, nodes, metrics, cfg)
-        self.ledger = ledger
+        super().__init__(eng, nodes, metrics, ledger, cfg)
         self.fragment_size = cfg.resolved_fragment_size()
-        self.ack_air_us = tx_duration_us(cfg.ack_bytes, eng.bitrate_bps)
+        self.ack_air_us = eng.airtime(cfg.ack_bytes)
         self.reassembler = SinkReassembler()
 
         n = len(self._nq)
         self._frags = [None] * n
         self._frag_idx = [0] * n
         self._pending = [None] * n
-        self._state = [IDLE] * n
-        self._since = [0] * n
-        self._rng = [substream(cfg.seed, i) for i in range(n)]
 
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        self._state[SINK] = RX  # the sink listens for the whole run
         self.start_arrivals()
 
     def finish(self) -> None:
-        """Flush open energy spans up to the simulation end."""
-        end = self.eng.duration_us
-        for node in [SINK] + [nc.node_id for nc in self.nodes]:
-            self.ledger.add(node, self._state[node], end - self._since[node])
-            self._since[node] = end
-
-    # -- helpers --------------------------------------------------------
-
-    def _set_state(self, node: int, state: int) -> None:
-        old = self._state[node]
-        if state == old:
-            return
-        now = self.eng.now
-        self.ledger.add(node, old, now - self._since[node])
-        self._state[node] = state
-        self._since[node] = now
+        """Charge the baseline: the sink in RX, every member IDLE, all run."""
+        d = self.eng.duration_us
+        self.ledger.add(SINK, RX, d)
+        for nc in self.nodes:
+            self.ledger.add(nc.node_id, IDLE, d)
 
     # -- traffic --------------------------------------------------------
 
     def on_arrival(self, node: int, klass: str) -> None:
         pending = self._pending[node]
         if pending is None:
-            self._set_state(node, RX)
+            self._move(node, IDLE, RX, self.eng.now, self.eng.duration_us)
             self._start_attempt(node, self.eng.now)
         elif klass == EMERGENCY and pending != ACK_WAIT and len(self._emq[node]) == 1:
             # Our only emergency preempts our own normal contention; the
@@ -262,12 +252,11 @@ class FrogMac(ArrivalProcess):
         nxt = eng.queue.peek()
         if nxt is not None and nxt <= at:
             return None  # as when deferring to a frame on the air: its end is queued
-        channel = eng.channel
-        if channel.busy_until(eng.now) != eng.now:
+        if eng.channel.busy_until(eng.now) != eng.now:
             return None  # a frame on the air outlasts the exchange
         ifs, slots = self._contention(node)
         nbytes, kind, meta, label = self._data_frame(node)
-        data_air = tx_duration_us(nbytes, eng.bitrate_bps)
+        data_air = eng.airtime(nbytes)
         ack_air = self.ack_air_us
         cca = at + ifs
         longest = cca + (slots - 1) * self.cfg.backoff_unit_us + data_air + ack_air
@@ -279,22 +268,10 @@ class FrogMac(ArrivalProcess):
         end = data_end + ack_air
         packet, idx, frag = meta
         final = self._received(packet, frag)
-        ledger, since = self.ledger, self._since
-        ledger.add(node, RX, start - since[node])
-        ledger.add(node, TX, data_air)
-        since[node] = data_end
-        ledger.add(SINK, RX, data_end - since[SINK])
-        ledger.add(SINK, TX, ack_air)
-        since[SINK] = end
-        channel._max_done_end = end
-        trace = eng.trace
-        if trace is not None:
-            # The lines Engine.begin_tx and the frames' ends write.
-            ack_label = self._ack_label(node, packet)
-            trace(start, node, "tx-start", f"kind={kind}{label}")
-            trace(data_end, node, "tx-end", f"kind={kind}{label} corrupted=0")
-            trace(data_end, SINK, "tx-start", f"kind={self.ACK}{ack_label}")
-            trace(end, SINK, "tx-end", f"kind={self.ACK}{ack_label} corrupted=0")
+        self.ledger.move(node, RX, TX, data_air)  # both frames end in the run
+        self.ledger.move(SINK, RX, TX, ack_air)
+        eng.record_tx(node, start, data_end, kind, label)
+        eng.record_tx(SINK, data_end, end, self.ACK, self._ack_label(node, packet))
         eng.now = end
         return node, final, packet, idx
 
@@ -318,16 +295,15 @@ class FrogMac(ArrivalProcess):
             self._defer(node)  # someone else started during our backoff
             return
         nbytes, kind, meta, label = self._data_frame(node)
-        self._set_state(node, TX)
         self._pending[node] = ACK_WAIT
-        eng.begin_tx(node, nbytes, kind, self._on_data_end, meta, label)
+        tx = eng.begin_tx(node, nbytes, kind, self._on_data_end, meta, label)
+        self._move(node, RX, TX, eng.now, tx.end)
 
     # -- frame completions ----------------------------------------------
 
     def _on_data_end(self, tx, corrupted: bool) -> None:
         node = tx.src
         packet, idx, frag = tx.meta
-        self._set_state(node, RX)
         # The sender cannot see corruption; it waits for the ack either way.
         if corrupted:
             # No ack will come: time out ack_slack_us after it would have ended.
@@ -342,14 +318,13 @@ class FrogMac(ArrivalProcess):
         self._send_ack(node, self._received(packet, frag), packet, idx)
 
     def _send_ack(self, target: int, final: bool, packet: Packet, idx: int) -> None:
-        self._set_state(SINK, TX)
-        self.eng.begin_tx(
+        tx = self.eng.begin_tx(
             SINK, self.cfg.ack_bytes, self.ACK, self._on_ack_end,
             (target, final, packet, idx), self._ack_label(target, packet),
         )
+        self._move(SINK, RX, TX, self.eng.now, tx.end)
 
     def _on_ack_end(self, tx, corrupted: bool) -> None:
-        self._set_state(SINK, RX)
         target, final, packet, idx = tx.meta
         if not corrupted:
             at = self._ack_received(target, final, packet, idx)
@@ -392,5 +367,5 @@ class FrogMac(ArrivalProcess):
             self.reassembler.forget(gone.pid)
         if self._emq[node] or self._nq[node]:
             return self.eng.now
-        self._set_state(node, IDLE)
+        self._move(node, RX, IDLE, self.eng.now, self.eng.duration_us)
         return None

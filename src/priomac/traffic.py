@@ -1,5 +1,6 @@
-"""Two-class periodic traffic over a star topology, and the arrival,
-retry budget, delivery and drop of packets that both MACs share.
+"""Two-class periodic traffic over a star topology, and what both MACs
+share: packets' arrival, retry budget, delivery and drop, per-node random
+substreams, and clipped moves between the energy ledger's states.
 
 Every member node reports monitoring data on a fixed interval; a chosen
 subset additionally raises emergency events on a longer interval. Each
@@ -95,13 +96,17 @@ class ArrivalProcess:
     packet that has not left. A packet leaves its queue only through
     _deliver or _drop, and only from the head of its class queue, so it
     leaves once. Each class head has one retry budget, counted by _fail
-    and renewed when the head leaves.
+    and renewed when the head leaves. Node i draws from `_rng[i]`, its own
+    substream of the seed.
     """
 
-    def __init__(self, eng: Engine, nodes: list[NodeConfig], metrics, cfg: SimConfig):
+    def __init__(
+        self, eng: Engine, nodes: list[NodeConfig], metrics, ledger, cfg: SimConfig
+    ):
         self.eng = eng
         self.nodes = nodes
         self.metrics = metrics
+        self.ledger = ledger
         self.cfg = cfg
         self._next_pid = 0
         n = max(nc.node_id for nc in nodes) + 1
@@ -110,9 +115,18 @@ class ArrivalProcess:
         self.queues = {EMERGENCY: self._emq, NORMAL: self._nq}
         # Failed attempts of each node's class head, by class.
         self._retries = {EMERGENCY: [0] * n, NORMAL: [0] * n}
+        self._rng = [substream(cfg.seed, i) for i in range(n)]
 
     def on_arrival(self, node: int, klass: str) -> None:
         raise NotImplementedError
+
+    def _move(self, node: int, from_state: int, to_state: int, start: int, end: int) -> None:
+        """Move node's ledger time in [start, end), clipped to the run, between states."""
+        d = self.eng.duration_us
+        if end > d:
+            end = d
+        if end > start:
+            self.ledger.move(node, from_state, to_state, end - start)
 
     def start_arrivals(self) -> None:
         """Schedule every flow's first arrival, node by node."""

@@ -1,4 +1,4 @@
-"""Which fps frames a trace says were built, checked against its own queues.
+"""What an fps trace says about its frames, checked against the trace itself.
 
 fps builds a frame (an `eis` line at its start, a `frame` line once its
 control period begins) exactly when the frame's start finds a packet
@@ -7,9 +7,16 @@ for frames i to j - 1. Queue occupancy is read from the same trace: each
 `arrival` adds a packet, each `delivery` and `drop` takes one away. A frame
 starting at f sees the arrivals before f only, because the cluster head's
 events go first at equal times, and no packet leaves at a frame start.
+
+Slots are exclusive: no data, ack or schedule frame shares a microsecond
+with any other frame on the air. Only EIS indications may overlap, and
+only each other.
 """
 
+import math
+
 from priomac.engine import SINK
+from priomac.fps import FpsMac
 
 
 def assert_frames_follow_the_queues(rec, geom, duration_us):
@@ -49,3 +56,27 @@ def assert_frames_follow_the_queues(rec, geom, duration_us):
             j += 1
         assert (i in built_set) == (held > 0), (i, held)
     return built, skipped
+
+
+def assert_slots_are_exclusive(rec):
+    """Check the `tx-start`/`tx-end` lines of fps trace records; returns the
+    number of frames checked. A frame still on the air at the run's end
+    stays on the air."""
+    started = {}  # node -> (start, kind) of its frame on the air
+    frames = []  # (start, end, kind, node)
+    for t, n, kind, detail in rec:
+        if kind == "tx-start":
+            started[n] = (t, detail.split()[0].removeprefix("kind="))
+        elif kind == "tx-end":
+            s, k = started.pop(n)
+            frames.append((s, t, k, n))
+    frames += [(s, math.inf, k, n) for n, (s, k) in started.items()]
+    frames.sort()
+    on_air = []
+    for frame in frames:
+        s, _e, k, n = frame
+        on_air = [f for f in on_air if f[1] > s]
+        for other in on_air:
+            assert k == other[2] == FpsMac.IND, f"{k} of node {n} at {s} overlaps {other}"
+        on_air.append(frame)
+    return len(frames)

@@ -186,8 +186,18 @@ def test_trace_records_transmission_lifecycle():
     eng = Engine(duration_us=10_000, trace=lambda t, n, k, d: rec.append((t, n, k, d)))
     eng.schedule(100, 1, lambda _: eng.begin_tx(1, 11, "ack", label=" to=7"))
     eng.run()
-    assert (100, 1, "tx-start", "kind=ack to=7") in rec
-    assert (452, 1, "tx-end", "kind=ack to=7 corrupted=0") in rec
+    assert rec == [
+        (100, 1, "tx-start", "kind=ack to=7"),
+        (452, 1, "tx-end", "kind=ack to=7 corrupted=0"),
+    ]
+    # The same frame recorded without events: the same two lines, and a
+    # channel that senses it up to its last microsecond.
+    recorded = []
+    eng = Engine(duration_us=10_000, trace=lambda *line: recorded.append(line))
+    eng.record_tx(1, 100, 100 + eng.airtime(11), "ack", " to=7")
+    assert recorded == rec
+    assert eng.channel.busy_in(451, 452)
+    assert not eng.channel.busy_in(452, 600)
 
 
 # -- kernels against brute-force models -----------------------------------
@@ -256,7 +266,7 @@ def test_event_queue_matches_a_sorted_list_model(ops):
 channel_ops = st.lists(
     st.tuples(
         st.integers(0, 8),                            # clock advance, us
-        st.sampled_from(("begin", "finish", "sense")),
+        st.sampled_from(("begin", "finish", "sense", "record")),
         st.integers(1, 12),                           # airtime or sensing window, us
         st.integers(0, 10_000),                       # finishing order; window choice
     ),
@@ -296,6 +306,12 @@ def test_channel_matches_a_brute_force_interval_model(ops):
             k = pick % len(due)  # finish them all, starting from the k-th
             for src in due[k:] + due[:k]:
                 finish(src)
+        elif action == "record" and not open_:
+            # A frame nothing overlaps, as Engine.record_tx notes it: never
+            # on the air here, with the clock moved to its end.
+            channel.note_end(now + length)
+            spans.append((now, now + length))
+            now += length
         else:
             # Half the windows open where the last transmission ended.
             ended = [e for _, e in spans if e <= now]

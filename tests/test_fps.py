@@ -19,7 +19,7 @@ from priomac.fuzzy import priority_score
 from priomac.metrics import RX, SLEEP, TX, EnergyLedger, MetricsCollector
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, build_population
 
-from _fps_frames import assert_frames_follow_the_queues
+from _fps_frames import assert_frames_follow_the_queues, assert_slots_are_exclusive
 
 
 # -- frame geometry ----------------------------------------------------------
@@ -392,6 +392,18 @@ def test_data_slots_never_collide_under_load():
     assert data_ends, "load scenario produced no data traffic"
     assert all(d.endswith("corrupted=0") for d in data_ends)
     assert rep.delivered > 0
+    assert assert_slots_are_exclusive(rec) > len(data_ends)
+    # The same trace with one slot starting 1 us before the slot ahead of
+    # it has ended: the check must see that one shared microsecond.
+    i = next(
+        i for i, (_, _, k, d) in enumerate(rec)
+        if k == "tx-start" and d.startswith("kind=data-whole") and not d.endswith(" slot=0")
+    )
+    ack_end = max(t for t, _, k, d in rec[:i] if k == "tx-end" and d.startswith("kind=ack "))
+    early = list(rec)
+    early[i] = (ack_end - 1, *rec[i][1:])
+    with pytest.raises(AssertionError, match="data-whole of node"):
+        assert_slots_are_exclusive(early)
 
 
 def member_outcomes(rec, node):

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import io
 import math
+import os
 import subprocess
 import sys
 import weakref
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import priomac
 from priomac import harness
 from priomac.cli import main
 from priomac.config import SimConfig, parse_config
@@ -413,9 +415,13 @@ def test_print_config_reads_back_through_config(tmp_path, capsys, flags, want):
 
 
 def test_module_entry_point():
+    # The child imports priomac from the tree under test, however pytest
+    # found it: pytest's own `pythonpath` setting does not reach children.
+    src = os.path.dirname(os.path.dirname(priomac.__file__))
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-m", "priomac", "run", "--duration-s", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "backend=" in proc.stdout

@@ -5,9 +5,13 @@ and short durations that are not frame multiples. A config the spec
 refuses is skipped; one it accepts must run to its end without an
 exception, conserve every packet and account for every node's time. Run
 again with a trace, it must give the same report; an fps trace must also
-account for every frame, built or skipped (see _fps_frames). A frog trace
-must pass the frame checks of _frog_frames, and a MAC that runs every
-exchange through events must give the same trace line for line.
+account for every frame, built or skipped, and keep its slots exclusive
+(see _fps_frames). A frog trace must pass the frame checks of
+_frog_frames, and a MAC that runs every exchange through events must give
+the same trace line for line.
+
+Few generated frog configs corrupt a frame or drop a packet, so the same
+checks also run on saturated frog configs, each of which must drop.
 """
 
 import dataclasses
@@ -22,7 +26,7 @@ from priomac.config import SimConfig
 from priomac.fps import FrameGeometry
 from priomac.harness import run_once
 
-from _fps_frames import assert_frames_follow_the_queues
+from _fps_frames import assert_frames_follow_the_queues, assert_slots_are_exclusive
 from _frog_frames import EventPathFrogMac, assert_frames_are_sound
 
 
@@ -42,7 +46,8 @@ def configs(draw, protocol):
         fragment_size=draw(st.none() | st.integers(1, 34)) if protocol == "frog" else None,
         slots_per_frame=draw(st.integers(1, 20)),
         slot_guard_us=cca_us + draw(st.integers(-1, 2)),
-        ack_loss_p=draw(st.sampled_from((0.0, 0.01, 0.3, 0.9))),
+        # frog has no ack losses; its acks fail only by collision.
+        ack_loss_p=draw(st.sampled_from((0.0, 0.01, 0.3, 0.9))) if protocol == "fps" else 0.0,
         # Small budgets, so that packets are also dropped.
         frog_max_retries=draw(st.integers(0, 8)),
         fps_max_retry_frames=draw(st.integers(0, 50)),
@@ -54,6 +59,29 @@ def configs(draw, protocol):
     return dataclasses.replace(cfg, duration_s=duration_us / 1e6)
 
 
+def assert_invariants(cfg):
+    """Run cfg untraced and traced; check what every run must satisfy and
+    return the report."""
+    rep = run_once(cfg)
+    for stats in rep.classes.values():
+        assert stats.generated == stats.delivered + stats.dropped + stats.in_flight
+        assert stats.in_flight >= 0
+    for node, spans in rep.node_state_us.items():
+        assert sum(spans) == cfg.duration_us, node
+    rec = []
+    assert run_once(cfg, trace=lambda *line: rec.append(line)) == rep
+    if cfg.protocol == "fps":
+        assert_frames_follow_the_queues(rec, FrameGeometry(cfg), cfg.duration_us)
+        assert_slots_are_exclusive(rec)
+    else:
+        assert_frames_are_sound(rec, cfg.frog_max_retries)
+        events = []
+        with mock.patch.object(harness, "FrogMac", EventPathFrogMac):
+            assert run_once(cfg, trace=lambda *line: events.append(line)) == rep
+        assert rec == events
+    return rep
+
+
 @pytest.mark.parametrize("protocol", ["frog", "fps"])
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -63,19 +91,16 @@ def test_every_accepted_config_runs_and_closes(protocol, data):
         cfg.validate()
     except ValueError:
         assume(False)
-    rep = run_once(cfg)
-    for stats in rep.classes.values():
-        assert stats.generated == stats.delivered + stats.dropped + stats.in_flight
-        assert stats.in_flight >= 0
-    for node, spans in rep.node_state_us.items():
-        assert sum(spans) == cfg.duration_us, node
-    rec = []
-    assert run_once(cfg, trace=lambda *line: rec.append(line)) == rep
-    if protocol == "fps":
-        assert_frames_follow_the_queues(rec, FrameGeometry(cfg), cfg.duration_us)
-    else:
-        assert_frames_are_sound(rec, cfg.frog_max_retries)
-        events = []
-        with mock.patch.object(harness, "FrogMac", EventPathFrogMac):
-            assert run_once(cfg, trace=lambda *line: events.append(line)) == rep
-        assert rec == events
+    assert_invariants(cfg)
+
+
+@pytest.mark.parametrize("fragment_size", [2, 4])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_saturated_frog_drops_and_still_closes(seed, fragment_size):
+    # 60 senders at a 0.05 s interval with no retries: equal-time ties
+    # corrupt frames, and each corrupted exchange drops its packet.
+    cfg = SimConfig(
+        protocol="frog", seed=seed, fragment_size=fragment_size, n_nodes=60,
+        n_emergency=6, normal_interval_s=0.05, frog_max_retries=0, duration_s=5.0,
+    )
+    assert assert_invariants(cfg).dropped > 0

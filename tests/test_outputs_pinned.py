@@ -15,6 +15,10 @@ the 18-detector frog `run --states` digest were taken before frog began to
 settle uncontended exchanges without events; the saturated trace (fs=2,
 no retries) has drops, collisions and fragments that start inside another
 sender's gap.
+The two frog `run --states` digests that end mid-frame were taken before
+frog's energy became a baseline plus clipped moves: at 39.879441 s node
+5's fragment 5/5 is on the air, at 39.879665 s the sink's ack to node 5
+is. Only a run cut by its end shows a clipped data or ack span.
 A change that alters the model on purpose updates them here and
 says in CHANGES.md which outputs changed and why.
 """
@@ -94,6 +98,14 @@ STATES = {
             "--n-emergency", "18", "--seed", "2",
         ],
         "50e3d393d699636dc1acb91af109570b8e20eea9828c3fed05c3da123a0afcc3",
+    ),
+    "frog-ends-in-data": (
+        ["--protocol", "frog", "--n-emergency", "6", "--seed", "2", "--duration-s", "39.879441"],
+        "34bc75508337f4bafeb0dfc1271341c140d719b1578f8cffefe99fba73a09065",
+    ),
+    "frog-ends-in-ack": (
+        ["--protocol", "frog", "--n-emergency", "6", "--seed", "2", "--duration-s", "39.879665"],
+        "242adb9c3933206b95bd31c21563e48e82e5b567d06534373ff96a0d32ae00dd",
     ),
 }
 
