@@ -85,13 +85,6 @@ class Channel:
         if self._max_done_end is None or end > self._max_done_end:
             self._max_done_end = end
 
-    def busy_at(self, t):
-        """True if some transmission covers instant t (half-open [start, end))."""
-        for entry in self._active.values():
-            if entry[0] <= t < entry[1]:
-                return True
-        return False
-
     def busy_in(self, t0, t1):
         """True if any transmission overlapped [t0, t1). Valid for t1 <= now."""
         if self._max_done_end is not None and self._max_done_end > t0:

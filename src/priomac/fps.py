@@ -13,22 +13,22 @@ the emergency bit composed crisply on top.
 Members sleep outside the EIS, the control period, and their own slot;
 the cluster head (node 0, the sink) listens for the whole frame except
 while it broadcasts the schedule. Frames start on the grid k*frame_len,
-so this baseline over [0, t) is a closed form of t (FrameGeometry), and
-so are a frame's index and the next frame worth running: the first one
-at or after the next arrival, whose time is the top of the engine's
-event queue. Runs without queued traffic therefore fast-forward across
-empty frames without touching RNG, channel state or energy, traced or
-not. A trace writes one `skip from=<i> to=<j>` line for skipped frames i
+so this baseline over [0, t) is a closed form of t (FrameGeometry,
+baseline_us), and so are a frame's index and the next frame worth
+running: the first one at or after the next arrival, whose time is the
+top of the engine's event queue. Runs without queued traffic therefore
+fast-forward across empty frames without touching RNG, channel state or
+energy, traced or not. A trace writes one `skip from=<i> to=<j>` line for skipped frames i
 to j - 1 (their schedule airtime is FrameGeometry.sink_tx_us), and `eis`,
 `frame` and schedule `tx-start`/`tx-end` lines only for built frames.
 
-A member's ledger takes its baseline only when it is read: by the
-control period, for the residual energy of each claimant, and by
-finish(). The ledger holds integer microseconds, so settling late adds
-the same integers as settling every frame. Slot activity is charged to
-the ledger as it happens. The MAC also keeps the set of members holding
-packets, so a frame costs the number of its claimants, not the number
-of members.
+Energy is baseline_us plus clipped moves, and the shared base charges the
+baseline at the end of the run (see ArrivalProcess). Indications, slot
+activity and the cluster head's acks move their spans as they happen. A
+claimant's residual energy, read in the control period, adds its
+baseline up to the frame's end to those moves as integers. The MAC also
+keeps the set of members holding packets, so a frame costs the number
+of its claimants, not the number of members.
 
 Every random draw belongs to one member and comes from that member's own
 substream: its EIS persistence coin, and the loss of an ack addressed to
@@ -179,18 +179,14 @@ class FpsMac(ArrivalProcess):
         self.geom = FrameGeometry(cfg)
         self.initial_energy_uj = cfg.initial_energy_j * 1e6
         self.diag_m = cfg.area_m * math.sqrt(2.0)
-        self.member_ids = [nc.node_id for nc in nodes]
 
         cx = cy = cfg.area_m / 2.0
         self._dist = {
             nc.node_id: math.hypot(nc.x - cx, nc.y - cy) for nc in nodes
         }
 
-        n = len(self._nq)
         # Members with a non-empty queue: the claimants of the next frame.
         self._holding = set()
-        # The time up to which each member's ledger holds its baseline.
-        self._settled = [0] * n
 
         # Set by the EIS handlers of the one frame in flight, read by its control period.
         self._mode = MODE_PERIODIC
@@ -199,30 +195,19 @@ class FpsMac(ArrivalProcess):
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        self.start_arrivals()
+        super().start()
         self.eng.schedule(0, SINK, self._frame_start, None)
-
-    def finish(self) -> None:
-        """Add every node's baseline up to the run's end to its ledger.
-
-        Afterwards each node's states sum to the run's duration.
-        """
-        d = self.eng.duration_us
-        for m in self.member_ids:
-            self._settle(m, d)
-        tx = self.geom.sink_tx_us(d)
-        self.ledger.add(SINK, RX, d - tx)
-        self.ledger.add(SINK, TX, tx)
 
     # -- energy ---------------------------------------------------------
 
-    def _settle(self, m: int, t: int) -> None:
-        """Add member m's baseline from where its ledger holds it up to t."""
-        t0 = self._settled[m]
-        awake = self.geom.member_awake_us(t) - self.geom.member_awake_us(t0)
-        self.ledger.add(m, RX, awake)
-        self.ledger.add(m, SLEEP, t - t0 - awake)
-        self._settled[m] = t
+    def baseline_us(self, node: int, t: int) -> tuple[int, int, int, int]:
+        """The cluster head sends each schedule and listens otherwise; a
+        member listens in each EIS and control period and sleeps otherwise."""
+        if node == SINK:
+            tx = self.geom.sink_tx_us(t)
+            return (tx, t - tx, 0, 0)
+        awake = self.geom.member_awake_us(t)
+        return (0, awake, 0, t - awake)
 
     # -- traffic --------------------------------------------------------
 
@@ -340,14 +325,9 @@ class FpsMac(ArrivalProcess):
 
         requests = {}
         for m, (ne, nn) in snapshot.items():
-            total = ne + nn
-            if total > self.cfg.slots_per_frame:
-                total = self.cfg.slots_per_frame
-            self._settle(m, end)
-            residual = self.initial_energy_uj - self.ledger.energy_uj(m)
+            residual = self.initial_energy_uj - self.ledger.energy_uj(m, self.baseline_us(m, end))
             requests[m] = SlotRequest(
-                FuzzyInputs(self._dist[m], residual, total, 1 if ne else 0),
-                nn,
+                FuzzyInputs(self._dist[m], residual, ne + nn, 1 if ne else 0), nn
             )
         data_slots = build_frame(
             f, mode, requests, self.geom,
@@ -372,12 +352,10 @@ class FpsMac(ArrivalProcess):
 
     def _slot_tx(self, arg) -> None:
         node, purpose, slot_i = arg
-        q = self.queues[purpose][node]
-        if not q:
-            if self.eng.trace is not None:
-                self.eng.trace(self.eng.now, node, "slot-idle", f"slot={slot_i}")
-            return
-        packet = q[0]
+        # A slot goes only to a member whose queue for it was non-empty at
+        # the frame's start, and only the member's own slot ack or the EIS
+        # retry bump, which runs before the schedule is built, takes a head.
+        packet = self.queues[purpose][node][0]
         now = self.eng.now
         g = self.geom
         # Planned slot activity, charged up front: transmit, then listen for the ack.

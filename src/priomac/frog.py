@@ -24,11 +24,12 @@ lines, and the node's next fragment is tried the same way. Reports,
 traces and sweep files are the same either way; only the number of
 events dispatched differs.
 
-Energy is a baseline plus moves. The baseline has the sink in RX and every
-member IDLE for the whole run. A member listens while it holds a packet:
-an arrival that finds it idle moves the rest of the run from IDLE to RX,
-and running out of packets moves it back. Each data frame and each ack
-moves its airtime, clipped to the run, from its sender's RX to TX.
+Energy is baseline_us plus clipped moves, and the shared base charges the
+baseline at the end of the run (see ArrivalProcess). The baseline has the
+sink in RX and every member IDLE. A member listens while it holds a
+packet: an arrival that finds it idle moves the rest of the run from IDLE
+to RX, and running out of packets moves it back. Each data frame and each
+ack moves its airtime, clipped to the run, from its sender's RX to TX.
 """
 
 from __future__ import annotations
@@ -139,17 +140,11 @@ class FrogMac(ArrivalProcess):
         self._frag_idx = [0] * n
         self._pending = [None] * n
 
-    # -- lifecycle ------------------------------------------------------
+    # -- energy ---------------------------------------------------------
 
-    def start(self) -> None:
-        self.start_arrivals()
-
-    def finish(self) -> None:
-        """Charge the baseline: the sink in RX, every member IDLE, all run."""
-        d = self.eng.duration_us
-        self.ledger.add(SINK, RX, d)
-        for nc in self.nodes:
-            self.ledger.add(nc.node_id, IDLE, d)
+    def baseline_us(self, node: int, t: int) -> tuple[int, int, int, int]:
+        """The sink listens and every member idles over [0, t)."""
+        return (0, t, 0, 0) if node == SINK else (0, 0, t, 0)
 
     # -- traffic --------------------------------------------------------
 
@@ -279,20 +274,18 @@ class FrogMac(ArrivalProcess):
         eng = self.eng
         ifs, slots = self._contention(node)
         if eng.channel.busy_in(eng.now - ifs, eng.now):
-            self._defer(node)
+            self._start_attempt(node, eng.channel.busy_until(eng.now))
             return
         self._pending[node] = eng.schedule(
             eng.now + self._backoff(node, slots), node, self._tx_start, node
         )
 
-    def _defer(self, node: int) -> None:
-        until = self.eng.channel.busy_until(self.eng.now)
-        self._start_attempt(node, until)
-
     def _tx_start(self, node: int) -> None:
         eng = self.eng
-        if eng.channel.busy_at(eng.now):
-            self._defer(node)  # someone else started during our backoff
+        # Every frame on the air started by now, so one ending later covers now.
+        until = eng.channel.busy_until(eng.now)
+        if until > eng.now:
+            self._start_attempt(node, until)  # someone else started during our backoff
             return
         nbytes, kind, meta, label = self._data_frame(node)
         self._pending[node] = ACK_WAIT

@@ -40,11 +40,16 @@ class EnergyLedger:
     def state_us(self, node: int) -> tuple[int, int, int, int]:
         return tuple(self._us[node])
 
-    def energy_uj(self, node: int) -> float:
+    def energy_uj(self, node: int, pending=(0, 0, 0, 0)) -> float:
+        """Node's energy; `pending` is (TX, RX, IDLE, SLEEP) us not yet
+        charged, added to the node's spans as integers before converting."""
         p = self.power
-        spans = self._us[node]
+        s = self._us[node]
         return (
-            spans[0] * p[0] + spans[1] * p[1] + spans[2] * p[2] + spans[3] * p[3]
+            (s[0] + pending[0]) * p[0]
+            + (s[1] + pending[1]) * p[1]
+            + (s[2] + pending[2]) * p[2]
+            + (s[3] + pending[3]) * p[3]
         ) / 1000.0
 
     def total_energy_uj(self) -> float:

@@ -1,6 +1,7 @@
 """Two-class periodic traffic over a star topology, and what both MACs
-share: packets' arrival, retry budget, delivery and drop, per-node random
-substreams, and clipped moves between the energy ledger's states.
+share: a run's start and finish, packets' arrival, retry budget, delivery
+and drop, per-node random substreams, and the energy rule (a closed-form
+baseline plus clipped moves between the ledger's states).
 
 Every member node reports monitoring data on a fixed interval; a chosen
 subset additionally raises emergency events on a longer interval. Each
@@ -98,6 +99,14 @@ class ArrivalProcess:
     leaves once. Each class head has one retry budget, counted by _fail
     and renewed when the head leaves. Node i draws from `_rng[i]`, its own
     substream of the seed.
+
+    A run is start(), the engine's run, then finish(). A node's energy is
+    its baseline plus moves. The MAC states the baseline once, as the
+    closed form baseline_us(node, t) over [0, t), and moves clipped spans
+    out of it with _move as they happen; finish() charges the baseline
+    over the whole run. The ledger holds the moves alone until then, so
+    mid-run `ledger.energy_uj(node, self.baseline_us(node, t))` reads a
+    node's baseline up to t plus the moves made so far.
     """
 
     def __init__(
@@ -120,6 +129,10 @@ class ArrivalProcess:
     def on_arrival(self, node: int, klass: str) -> None:
         raise NotImplementedError
 
+    def baseline_us(self, node: int, t: int) -> tuple[int, int, int, int]:
+        """Node's (TX, RX, IDLE, SLEEP) us over [0, t) before any move."""
+        raise NotImplementedError
+
     def _move(self, node: int, from_state: int, to_state: int, start: int, end: int) -> None:
         """Move node's ledger time in [start, end), clipped to the run, between states."""
         d = self.eng.duration_us
@@ -128,13 +141,24 @@ class ArrivalProcess:
         if end > start:
             self.ledger.move(node, from_state, to_state, end - start)
 
-    def start_arrivals(self) -> None:
+    def start(self) -> None:
         """Schedule every flow's first arrival, node by node."""
         for nc in self.nodes:
             node = nc.node_id
             self.eng.schedule(nc.normal_phase_us, node, self._arrival_normal, node)
             if nc.emergency:
                 self.eng.schedule(nc.emergency_phase_us, node, self._arrival_emergency, node)
+
+    def finish(self) -> None:
+        """Charge every node's baseline over the whole run to its ledger.
+
+        Afterwards each node's states sum to the run's duration.
+        """
+        d = self.eng.duration_us
+        for node in self.ledger.node_ids():
+            for state, us in enumerate(self.baseline_us(node, d)):
+                if us:
+                    self.ledger.add(node, state, us)
 
     def _make_packet(self, node: int, klass: str) -> Packet:
         eng = self.eng

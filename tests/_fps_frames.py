@@ -11,12 +11,22 @@ events go first at equal times, and no packet leaves at a frame start.
 Slots are exclusive: no data, ack or schedule frame shares a microsecond
 with any other frame on the air. Only EIS indications may overlap, and
 only each other.
+
+A packet is dropped at its fps_max_retry_frames + 1-th failed frame, and
+no packet fails more often. A frame fails a packet when the packet's slot
+ack is lost (an `ack-lost` line), or when the frame is built without
+emergency mode (its `frame` line) while the packet heads its node's
+emergency queue (at the frame's `eis` line).
 """
 
 import math
+from collections import deque
 
 from priomac.engine import SINK
-from priomac.fps import FpsMac
+from priomac.fps import MODE_EMERGENCY, FpsMac
+from priomac.traffic import EMERGENCY
+
+from _frog_frames import _fields
 
 
 def assert_frames_follow_the_queues(rec, geom, duration_us):
@@ -80,3 +90,50 @@ def assert_slots_are_exclusive(rec):
             assert k == other[2] == FpsMac.IND, f"{k} of node {n} at {s} overlaps {other}"
         on_air.append(frame)
     return len(frames)
+
+
+def assert_drops_follow_the_budget(rec, max_retry_frames):
+    """Check the drop lines of fps trace records against the retry budget;
+    returns the number of drops checked.
+
+    A drop made in a control period is traced before that period's `frame`
+    line, so a drop counts the failures up to and including its own
+    microsecond.
+    """
+    emq = {}  # node -> ids of its queued emergency packets, in order
+    heads = None  # (frame index, emergency heads at its eis line)
+    failed = {}  # pid -> times of its failed frames
+    dropped = {}  # pid -> time of its drop
+    for t, n, kind, detail in rec:
+        if kind not in ("arrival", "delivery", "drop", "eis", "frame", "ack-lost"):
+            continue
+        f = _fields(detail)
+        if kind == "arrival":
+            if f["class"] == EMERGENCY:
+                emq.setdefault(n, deque()).append(int(f["id"]))
+        elif kind in ("delivery", "drop"):
+            pid = int(f["id"])
+            if f["class"] == EMERGENCY:
+                assert emq[n].popleft() == pid, f"packet {pid} left node {n} out of order"
+            if kind == "drop":
+                dropped[pid] = t
+        elif kind == "eis":
+            heads = (f["idx"], [q[0] for q in emq.values() if q])
+        elif kind == "frame":
+            assert heads is not None and heads[0] == f["idx"], (t, detail)
+            if f["mode"] != MODE_EMERGENCY:
+                for pid in heads[1]:
+                    failed.setdefault(pid, []).append(t)
+        else:
+            failed.setdefault(int(f["id"]), []).append(t)
+    budget = max_retry_frames + 1
+    for pid, times in failed.items():
+        if pid in dropped:
+            t = dropped[pid]
+            assert len(times) == budget and times[-1] <= t, (
+                f"packet {pid} dropped at {t} after failed frames at {times}"
+            )
+        else:
+            assert len(times) < budget, f"packet {pid} failed at {times} and stayed queued"
+    assert dropped.keys() <= failed.keys(), "a packet dropped without a failed frame"
+    return len(dropped)

@@ -316,7 +316,6 @@ def test_channel_matches_a_brute_force_interval_model(ops):
             # Half the windows open where the last transmission ended.
             ended = [e for _, e in spans if e <= now]
             t0 = max(ended) if ended and pick % 2 else max(0, now - length)
-            assert channel.busy_at(now) == any(s <= now < e for s, e in spans)
             assert channel.busy_in(t0, now) == any(s < now and e > t0 for s, e in spans)
             assert channel.busy_until(now) == max([now] + [e for _, e in spans])
     now = max([now] + [end for _, end in open_.values()])

@@ -19,7 +19,11 @@ from priomac.fuzzy import priority_score
 from priomac.metrics import RX, SLEEP, TX, EnergyLedger, MetricsCollector
 from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, build_population
 
-from _fps_frames import assert_frames_follow_the_queues, assert_slots_are_exclusive
+from _fps_frames import (
+    assert_drops_follow_the_budget,
+    assert_frames_follow_the_queues,
+    assert_slots_are_exclusive,
+)
 
 
 # -- frame geometry ----------------------------------------------------------
@@ -406,6 +410,26 @@ def test_data_slots_never_collide_under_load():
         assert_slots_are_exclusive(early)
 
 
+@pytest.mark.parametrize("budget", [0, 1, 3])
+def test_drops_come_at_the_retry_budget(budget):
+    # Every member is a detector, three slots serve eight members and half
+    # the acks are lost, so packets of both classes fail frames both ways
+    # (a lost slot ack, a frame the EIS leaves periodic) and are dropped.
+    nodes = build_population(8, 8, 1, normal_interval_us=300_000, emergency_interval_us=500_000)
+    rep, rec, _ = run_fps(
+        nodes, 10_000_000, normal_interval_us=300_000, emergency_interval_s=0.5,
+        slots_per_frame=3, ack_loss_p=0.5, fps_max_retry_frames=budget,
+    )
+    assert all(rep.classes[k].dropped > 0 for k in (EMERGENCY, NORMAL))
+    assert any(k == "ack-lost" for _, _, k, _ in rec)
+    assert any(k == "frame" and "mode=PERIODIC" in d for _, _, k, d in rec)
+    assert assert_drops_follow_the_budget(rec, budget) == rep.dropped
+    # The same trace read with a budget off by one must fail the check.
+    for wrong in (budget - 1, budget + 1):
+        with pytest.raises(AssertionError, match="packet"):
+            assert_drops_follow_the_budget(rec, wrong)
+
+
 def member_outcomes(rec, node):
     """A member's deliveries (with delay), lost acks and drops, in order, without pids."""
     out = []
@@ -471,9 +495,10 @@ def test_holding_set_is_the_members_with_queued_packets(traffic, seed, trace):
         ack_loss_p=0.5, fps_max_retry_frames=3,
     )
     sizes = set()
+    members = [nc.node_id for nc in mac.nodes]
 
     def check():
-        holding = {m for m in mac.member_ids if mac._emq[m] or mac._nq[m]}
+        holding = {m for m in members if mac._emq[m] or mac._nq[m]}
         assert mac._holding == holding
         sizes.add(len(holding))
 

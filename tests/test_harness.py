@@ -414,14 +414,39 @@ def test_print_config_reads_back_through_config(tmp_path, capsys, flags, want):
     assert parse_config(str(path)) == want
 
 
-def test_module_entry_point():
-    # The child imports priomac from the tree under test, however pytest
-    # found it: pytest's own `pythonpath` setting does not reach children.
+def child_env(**extra):
+    """The environment of a child process that imports priomac from the tree
+    under test, however pytest found it: pytest's own `pythonpath` setting
+    does not reach children."""
     src = os.path.dirname(os.path.dirname(priomac.__file__))
     path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "priomac", "run", "--duration-s", "2"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert "backend=" in proc.stdout
+
+
+@pytest.mark.parametrize("protocol", ["frog", "fps"])
+def test_run_states_is_the_same_under_any_hash_seed(protocol):
+    # Detectors, a loaded channel and lost acks, in two processes whose
+    # string hashes differ.
+    args = [
+        sys.executable, "-m", "priomac", "run", "--states", "--protocol", protocol,
+        "--n-emergency", "6", "--normal-interval-s", "0.5", "--emergency-interval-s", "2",
+        "--ack-loss-p", "0.3", "--duration-s", "20",
+    ]
+    outs = [
+        subprocess.run(
+            args, capture_output=True, check=True, env=child_env(PYTHONHASHSEED=seed)
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert b"class=EMERGENCY generated=0 " not in outs[0]
+    assert b"node=20 " in outs[0]
+    assert outs[0] == outs[1]

@@ -5,8 +5,8 @@ and short durations that are not frame multiples. A config the spec
 refuses is skipped; one it accepts must run to its end without an
 exception, conserve every packet and account for every node's time. Run
 again with a trace, it must give the same report; an fps trace must also
-account for every frame, built or skipped, and keep its slots exclusive
-(see _fps_frames). A frog trace must pass the frame checks of
+account for every frame, built or skipped, keep its slots exclusive and
+drop each packet at its retry budget (see _fps_frames). A frog trace must pass the frame checks of
 _frog_frames, and a MAC that runs every exchange through events must give
 the same trace line for line.
 
@@ -26,7 +26,11 @@ from priomac.config import SimConfig
 from priomac.fps import FrameGeometry
 from priomac.harness import run_once
 
-from _fps_frames import assert_frames_follow_the_queues, assert_slots_are_exclusive
+from _fps_frames import (
+    assert_drops_follow_the_budget,
+    assert_frames_follow_the_queues,
+    assert_slots_are_exclusive,
+)
 from _frog_frames import EventPathFrogMac, assert_frames_are_sound
 
 
@@ -73,6 +77,7 @@ def assert_invariants(cfg):
     if cfg.protocol == "fps":
         assert_frames_follow_the_queues(rec, FrameGeometry(cfg), cfg.duration_us)
         assert_slots_are_exclusive(rec)
+        assert_drops_follow_the_budget(rec, cfg.fps_max_retry_frames)
     else:
         assert_frames_are_sound(rec, cfg.frog_max_retries)
         events = []
