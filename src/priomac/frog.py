@@ -20,9 +20,12 @@ frames. When nothing is on the air as its attempt starts, and even its
 longest backoff would end the ack strictly before the next queued event
 and by the run's end, nothing can touch it: it is settled at once by
 arithmetic, with the same backoff draw, energy spans, reassembly and trace
-lines, and the node's next fragment is tried the same way. Reports,
-traces and sweep files are the same either way; only the number of
-events dispatched differs.
+lines, and the node's next fragment is tried the same way. When the same
+bound holds for the last of a normal packet's remaining fragments, with
+the longest backoff and a gap for each, they all settle at once: the
+draws are made one per fragment, and the rest is summed once per packet.
+Reports, traces and sweep files are the same either way; only the number
+of events dispatched differs.
 
 Energy is baseline_us plus clipped moves, and the shared base charges the
 baseline at the end of the run (see ArrivalProcess). The baseline has the
@@ -35,6 +38,7 @@ ack moves its airtime, clipped to the run, from its sender's RX to TX.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .config import SimConfig
 from .engine import SINK, Engine
@@ -140,6 +144,24 @@ class FrogMac(ArrivalProcess):
         self._frag_idx = [0] * n
         self._pending = [None] * n
 
+        # Every normal packet carries cfg.payload_bytes, so all share one
+        # fragment layout. _rest[i] describes fragments i.. of a packet
+        # contended for from some instant t, with no backoff drawn yet:
+        # (the last ack's latest end, its end with every backoff 0, both
+        # less t; the data frames' airtime in all). See _settle.
+        layout = fragment(
+            Packet(-1, SINK, NORMAL, 0, cfg.payload_bytes), self.fragment_size, cfg.header_bytes
+        )
+        self._frag_air = [eng.airtime(f.payload_bytes + f.header_bytes) for f in layout]
+        max_backoff = (cfg.backoff_slots_low - 1) * cfg.backoff_unit_us
+        self._rest = []
+        fixed, data = -cfg.fragment_gap_us, 0
+        for k, air in enumerate(reversed(self._frag_air), 1):
+            fixed += cfg.fragment_gap_us + cfg.ifs_low_us + air + self.ack_air_us
+            data += air
+            self._rest.append((fixed + k * max_backoff, fixed, data))
+        self._rest.reverse()
+
     # -- energy ---------------------------------------------------------
 
     def baseline_us(self, node: int, t: int) -> tuple[int, int, int, int]:
@@ -242,6 +264,13 @@ class FrogMac(ArrivalProcess):
         Returns the ack's (target, final, packet, idx) with the clock at the
         ack's end, or None, having drawn nothing, when the exchange must run
         through events.
+
+        A normal packet's remaining fragments settle at once (_settle_rest)
+        when the same bound holds for the last of them: their longest
+        backoffs, with a gap after each ack but the last, end its ack
+        strictly before the next event and by the run's end. Each exchange would then
+        qualify in turn, since settling schedules nothing and ends the air
+        clear. Otherwise this one exchange settles, if it qualifies alone.
         """
         eng = self.eng
         nxt = eng.queue.peek()
@@ -249,6 +278,11 @@ class FrogMac(ArrivalProcess):
             return None  # as when deferring to a frame on the air: its end is queued
         if eng.channel.busy_until(eng.now) != eng.now:
             return None  # a frame on the air outlasts the exchange
+        if not self._emq[node]:
+            first = 0 if self._frags[node] is None else self._frag_idx[node]
+            latest = at + self._rest[first][0]
+            if latest <= eng.duration_us and (nxt is None or latest < nxt):
+                return self._settle_rest(node, at, first)
         ifs, slots = self._contention(node)
         nbytes, kind, meta, label = self._data_frame(node)
         data_air = eng.airtime(nbytes)
@@ -269,6 +303,36 @@ class FrogMac(ArrivalProcess):
         eng.record_tx(SINK, data_end, end, self.ACK, self._ack_label(node, packet))
         eng.now = end
         return node, final, packet, idx
+
+    def _settle_rest(self, node: int, at: int, first: int):
+        """Settle fragments first.. of the node's normal packet, contended
+        for from `at`, as _settle would one exchange at a time: the same
+        backoff draws in the same order, and the same trace lines, spans in
+        sum and channel end. Stop-and-wait sends a fragment only after the
+        previous one's clean ack, so the last ack is final without the
+        reassembler. Returns that ack, with the clock at its end."""
+        eng = self.eng
+        cfg = self.cfg
+        packet = self._nq[node][0]
+        count = len(self._frag_air)
+        _latest, fixed, data_air = self._rest[first]
+        draws = list(map(self._rng[node].randrange, repeat(cfg.backoff_slots_low, count - first)))
+        end = at + fixed + sum(draws) * cfg.backoff_unit_us
+        if eng.trace is not None:
+            ack_label = self._ack_label(node, packet)
+            t = at - cfg.fragment_gap_us
+            for idx, draw in enumerate(draws, first):
+                start = t + cfg.fragment_gap_us + cfg.ifs_low_us + draw * cfg.backoff_unit_us
+                data_end = start + self._frag_air[idx]
+                t = data_end + self.ack_air_us
+                label = f" id={packet.pid} frag={idx + 1}/{count}"
+                eng.record_tx(node, start, data_end, self.DATA_FRAG, label)
+                eng.record_tx(SINK, data_end, t, self.ACK, ack_label)
+        self.ledger.move(node, RX, TX, data_air)  # every frame ends in the run
+        self.ledger.move(SINK, RX, TX, (count - first) * self.ack_air_us)
+        eng.channel.note_end(end)
+        eng.now = end
+        return node, True, packet, count - 1
 
     def _cca_done(self, node: int) -> None:
         eng = self.eng

@@ -140,17 +140,44 @@ def test_uncontended_packet_uses_every_fragment_once():
     assert rep.classes[NORMAL].delivered == 1
 
 
-def test_uncontended_delay_is_within_the_arithmetic_envelope():
-    # per fragment: 1000 us IFS + backoff {0..7}*160 + 416 us air + 352 us ack,
-    # plus an 800 us gap before each continuation
-    eng, mac, metrics, ledger = make_mac(lone_sender(), 60_000)
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("fragment_size", [2, 8, 34])
+def test_each_uncontended_delay_is_the_arithmetic_of_its_draws(fragment_size, traced):
+    # A lone sender's packets meet no other frame and, 0.1 s apart, never
+    # wait for each other. So each normal delay is, per fragment, the low
+    # IFS, its backoff, its airtime and the ack's, plus a gap between two
+    # fragments. The backoffs are re-drawn in order from the node's own
+    # substream, and the delays are read as the metrics record them.
+    cfg = SimConfig(fragment_size=fragment_size, normal_interval_s=0.1)
+    duration = 2_000_000
+    eng, mac, metrics, ledger = make_mac(
+        lone_sender(), duration, fragment_size=fragment_size, normal_interval_s=0.1,
+        trace=(lambda *line: None) if traced else None,
+    )
+    delays = []
+    record_delivery = metrics.record_delivery
+
+    def recorded(packet, at):
+        delays.append(at - packet.gen_time)
+        record_delivery(packet, at)
+
+    metrics.record_delivery = recorded
     mac.start()
     eng.run()
-    rep = metrics.summarize(ledger, 60_000, mac.queues)
-    delay = rep.classes[NORMAL].mean_us
-    lo = 5 * (1000 + 416 + 352) + 4 * 800
-    hi = lo + 5 * 7 * 160
-    assert lo <= delay <= hi
+
+    count = -(-cfg.payload_bytes // fragment_size)
+    sizes = [fragment_size] * (count - 1) + [cfg.payload_bytes - fragment_size * (count - 1)]
+    rng = substream(cfg.seed, 1)
+    expected = [
+        sum(
+            cfg.ifs_low_us + rng.randrange(cfg.backoff_slots_low) * cfg.backoff_unit_us
+            + tx_duration_us(size + cfg.header_bytes) + tx_duration_us(cfg.ack_bytes)
+            for size in sizes
+        ) + (count - 1) * cfg.fragment_gap_us
+        for _ in delays
+    ]
+    assert len(delays) == 20
+    assert delays == expected
 
 
 def test_energy_states_close_on_the_duration():
@@ -508,3 +535,119 @@ def test_an_exchange_settles_only_before_the_next_event_and_by_the_run_end(
         assert queued == [1 - offset] and delivered == 1
     else:
         assert delivered == (offset >= 0)
+
+
+# -- whole-packet settlement ----------------------------------------------
+#
+# A lone sender at fragment size 2 with one backoff slot: its packet is 17
+# fragments whose exchanges have no draw to vary, so the whole-packet bound
+# is exact. From an arrival at 0 the last ack ends at PACKET_END.
+
+WHOLE = {"fragment_size": 2, "backoff_slots_low": 1}
+_T = SimConfig(**WHOLE)
+PACKET_END = 17 * (
+    _T.ifs_low_us + tx_duration_us(2 + _T.header_bytes) + tx_duration_us(_T.ack_bytes)
+) + 16 * _T.fragment_gap_us
+
+
+def count_data_frames(mac):
+    """The nodes of every data frame the MAC builds one exchange at a time,
+    in a list that grows as it runs; fragments settled whole build none."""
+    built = []
+    data_frame = mac._data_frame
+
+    def counted(node):
+        built.append(node)
+        return data_frame(node)
+
+    mac._data_frame = counted
+    return built
+
+
+def run_lone(mac_class, duration, nodes=None, traced=True, setup=None, **overrides):
+    """Run a lone sender; returns (trace, report, data frames built, setup's result)."""
+    rec = []
+    eng, mac, metrics, ledger = make_mac(
+        nodes or lone_sender(), duration, trace=(lambda *line: rec.append(line)) if traced else None,
+        mac_class=mac_class, **{**WHOLE, **overrides},
+    )
+    built = count_data_frames(mac)
+    extra = setup(eng, mac) if setup else None
+    mac.start()
+    eng.run()
+    mac.finish()
+    return rec, metrics.summarize(ledger, duration, mac.queues), built, extra
+
+
+@pytest.mark.parametrize("bound,offset", [
+    ("next-event", 0), ("next-event", 1), ("run-end", -1), ("run-end", 0),
+])
+def test_a_packet_settles_whole_only_before_the_next_event_and_by_the_run_end(bound, offset):
+    # A probe owned by the sink and queued before the run fires at
+    # PACKET_END + offset, ahead of an ack ending then. The shipped MAC
+    # settles the whole packet, building no data frame, only if its last
+    # ack ends strictly before the probe and no later than the run's end.
+    # Traced or not, it leaves the trace, the report and the probe's
+    # reading that the events-only MAC leaves.
+    duration = PACKET_END + offset if bound == "run-end" else PACKET_END + 10_000
+
+    def probe(eng, mac):
+        queued = []
+        if bound == "next-event":
+            eng.schedule(PACKET_END + offset, SINK, lambda _: queued.append(len(mac._nq[1])))
+        return queued
+
+    rec, rep, built, queued = run_lone(FrogMac, duration, setup=probe)
+    events = run_lone(EventPathFrogMac, duration, setup=probe)
+    assert (rec, rep, queued) == (events[0], events[1], events[3])
+    assert run_lone(FrogMac, duration, traced=False, setup=probe)[1:] == (rep, built, queued)
+    whole = offset >= (1 if bound == "next-event" else 0)
+    assert (built == []) == whole
+    assert len(events[2]) == 17
+    if bound == "next-event":
+        assert queued == [1 - offset] and rep.classes[NORMAL].delivered == 1
+    else:
+        assert rep.classes[NORMAL].delivered == (offset >= 0)
+
+
+@pytest.mark.parametrize("em_at,frags_before", [
+    (5 * (PACKET_END + _T.fragment_gap_us) // 17 + 500, 5), (PACKET_END - 1, 17),
+], ids=["in-an-ifs", "in-the-last-ack"])
+def test_an_own_emergency_inside_the_bound_falls_back_to_single_exchanges(em_at, frags_before):
+    # The node's own emergency arrival is a queued event inside the bound,
+    # so the packet does not settle whole from its first fragment. Either
+    # the emergency preempts fragment 6 in its IFS, or it waits out the
+    # last ack; the trace and report are those of the events-only MAC.
+    nodes = [NodeConfig(1, 10.0, 10.0, True, 0, em_at)]
+    rec, rep, built, _ = run_lone(FrogMac, 100_000, nodes)
+    events = run_lone(EventPathFrogMac, 100_000, nodes)
+    assert (rec, rep) == events[:2]
+    assert built and rep.classes[NORMAL].delivered == rep.classes[EMERGENCY].delivered == 1
+    assert [d for _, d in tx_starts(rec)].index("kind=data-whole id=1") == frags_before
+    assert run_lone(FrogMac, 100_000, nodes, traced=False)[1:3] == (rep, built)
+
+
+def test_a_packet_settles_its_remaining_fragments_after_some_went_through_events():
+    # A foreign frame holds the channel across the packet's arrival at
+    # 5000 us, so fragment 1 goes through events. From its ack on nothing
+    # is queued before the next arrival, so fragments 2 to 17 settle whole
+    # from the node's cursor and build no data frame of their own.
+    def noise(eng, mac):
+        eng.schedule(4_000, 99, lambda _: eng.begin_tx(99, 200, "noise"))
+
+    rec, rep, built, _ = run_lone(FrogMac, 100_000, lone_sender(5_000), setup=noise)
+    events = run_lone(EventPathFrogMac, 100_000, lone_sender(5_000), setup=noise)
+    assert (rec, rep) == events[:2]
+    assert built == [1] and rep.classes[NORMAL].delivered == 1
+    starts = tx_starts(rec)
+    assert len(starts) == 17 and starts[1][1] == "kind=data-frag id=0 frag=2/17"
+
+
+def test_a_lone_senders_packets_settle_whole():
+    # Nothing else is queued while a lone sender's packet is sent, so at
+    # fragment size 2 and the default backoff every packet settles whole
+    # from its first fragment; no data frame is built one exchange at a time.
+    _, rep, built, _ = run_lone(
+        FrogMac, 99_000_000, traced=False, backoff_slots_low=SimConfig.backoff_slots_low
+    )
+    assert rep.classes[NORMAL].delivered == 10 and built == []

@@ -8,7 +8,8 @@ again with a trace, it must give the same report; an fps trace must also
 account for every frame, built or skipped, keep its slots exclusive and
 drop each packet at its retry budget (see _fps_frames). A frog trace must pass the frame checks of
 _frog_frames, and a MAC that runs every exchange through events must give
-the same trace line for line.
+the same trace line for line. Run once more untraced in the same
+process, it must give the same report again.
 
 Few generated frog configs corrupt a frame or drop a packet, so the same
 checks also run on saturated frog configs, each of which must drop.
@@ -84,6 +85,9 @@ def assert_invariants(cfg):
         with mock.patch.object(harness, "FrogMac", EventPathFrogMac):
             assert run_once(cfg, trace=lambda *line: events.append(line)) == rep
         assert rec == events
+    # State kept between runs of one process, such as a memo, must not
+    # leak into the next run.
+    assert run_once(cfg) == rep
     return rep
 
 
