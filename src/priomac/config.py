@@ -36,7 +36,9 @@ class SimConfig:
     protocol: str = "frog"
     seed: int = 1
     duration_s: float = _spec(5000.0, us=True)
-    n_nodes: int = _spec(20, ge=1)
+    # Node ids 1..n_nodes are also their MAC substreams, which must stay below
+    # the phase streams (engine.PHASE_STREAM_OFFSET = 2**16) to be their own.
+    n_nodes: int = _spec(20, ge=1, le=65_535)
     n_emergency: int = _spec(3, ge=0)
     # fps scores distance over the area's diagonal, so it must be a length.
     area_m: float = _spec(50.0, gt=0.0)

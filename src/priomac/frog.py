@@ -16,16 +16,15 @@ exchange in between neither renews nor spends a fragment's budget.
 
 An exchange (sense window, backoff, data frame, the sink's ack) runs as
 four events: the CCA, the end of the backoff, and the ends of the two
-frames. When nothing is on the air as its attempt starts, and even its
-longest backoff would end the ack strictly before the next queued event
-and by the run's end, nothing can touch it: it is settled at once by
-arithmetic, with the same backoff draw, energy spans, reassembly and trace
-lines, and the node's next fragment is tried the same way. When the same
-bound holds for the last of a normal packet's remaining fragments, with
-the longest backoff and a gap for each, they all settle at once: the
-draws are made one per fragment, and the rest is summed once per packet.
-Reports, traces and sweep files are the same either way; only the number
-of events dispatched differs.
+frames. When nothing is on the air as a node starts to contend, the
+longest run of its next exchanges that nothing can touch is settled at
+once by arithmetic: the run's longest backoffs, with a gap after each ack
+but the last, must end its last ack strictly before the next queued event
+and by the run's end. It may be one exchange, an emergency, or a normal
+packet's fragments from its cursor up to the last. The backoffs are drawn
+one per exchange in order, and the energy spans, reassembly and trace
+lines are those the events would leave. Reports, traces and sweep files
+are the same either way; only the number of events dispatched differs.
 
 Energy is baseline_us plus clipped moves, and the shared base charges the
 baseline at the end of the run (see ArrivalProcess). The baseline has the
@@ -37,8 +36,9 @@ ack moves its airtime, clipped to the run, from its sender's RX to TX.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .config import SimConfig
 from .engine import SINK, Engine
@@ -114,6 +114,23 @@ class SinkReassembler:
         self._seen.pop(pid, None)
 
 
+@dataclass(slots=True)
+class _Plan:
+    """How a packet of one class goes out: its data frames' kind and sizes,
+    their contention (IFS and backoff slots), and prefix sums over the
+    frames. `latest` and `fixed` sum each frame's exchange with the gap
+    before it, at its longest backoff and at backoff 0; `air` sums the
+    data airtime. Entry k covers frames 0..k-1, so entry 0 is 0."""
+
+    kind: str
+    ifs_us: int
+    slots: int
+    frame_bytes: list[int]
+    latest: list[int]
+    fixed: list[int]
+    air: list[int]
+
+
 class FrogMac(ArrivalProcess):
     """Event-driven implementation over the shared engine.
 
@@ -135,32 +152,37 @@ class FrogMac(ArrivalProcess):
         cfg: SimConfig,
     ):
         super().__init__(eng, nodes, metrics, ledger, cfg)
-        self.fragment_size = cfg.resolved_fragment_size()
         self.ack_air_us = eng.airtime(cfg.ack_bytes)
         self.reassembler = SinkReassembler()
 
         n = len(self._nq)
-        self._frags = [None] * n
-        self._frag_idx = [0] * n
+        self._frag_idx = [0] * n  # the next fragment of each node's normal head
         self._pending = [None] * n
 
-        # Every normal packet carries cfg.payload_bytes, so all share one
-        # fragment layout. _rest[i] describes fragments i.. of a packet
-        # contended for from some instant t, with no backoff drawn yet:
-        # (the last ack's latest end, its end with every backoff 0, both
-        # less t; the data frames' airtime in all). See _settle.
-        layout = fragment(
-            Packet(-1, SINK, NORMAL, 0, cfg.payload_bytes), self.fragment_size, cfg.header_bytes
+        # Every packet carries cfg.payload_bytes, so all normal packets share
+        # one fragment layout, and every emergency is one whole frame.
+        self._layout = fragment(
+            Packet(-1, SINK, NORMAL, 0, cfg.payload_bytes),
+            cfg.resolved_fragment_size(), cfg.header_bytes,
         )
-        self._frag_air = [eng.airtime(f.payload_bytes + f.header_bytes) for f in layout]
-        max_backoff = (cfg.backoff_slots_low - 1) * cfg.backoff_unit_us
-        self._rest = []
-        fixed, data = -cfg.fragment_gap_us, 0
-        for k, air in enumerate(reversed(self._frag_air), 1):
-            fixed += cfg.fragment_gap_us + cfg.ifs_low_us + air + self.ack_air_us
-            data += air
-            self._rest.append((fixed + k * max_backoff, fixed, data))
-        self._rest.reverse()
+        self._normal_plan = self._build_plan(
+            self.DATA_FRAG, [f.payload_bytes + f.header_bytes for f in self._layout],
+            cfg.ifs_low_us, cfg.backoff_slots_low,
+        )
+        self._emergency_plan = self._build_plan(
+            self.DATA_WHOLE, [cfg.payload_bytes + cfg.header_bytes],
+            cfg.ifs_high_us, cfg.backoff_slots_high,
+        )
+
+    def _build_plan(self, kind: str, frame_bytes: list[int], ifs_us: int, slots: int) -> _Plan:
+        cfg = self.cfg
+        air = [self.eng.airtime(nbytes) for nbytes in frame_bytes]
+        step = cfg.fragment_gap_us + ifs_us + self.ack_air_us
+        fixed = list(accumulate((step + a for a in air), initial=0))
+        longest = (slots - 1) * cfg.backoff_unit_us
+        latest = [f + k * longest for k, f in enumerate(fixed)]
+        data = list(accumulate(air, initial=0))
+        return _Plan(kind, ifs_us, slots, frame_bytes, latest, fixed, data)
 
     # -- energy ---------------------------------------------------------
 
@@ -188,89 +210,83 @@ class FrogMac(ArrivalProcess):
     # attempt restarts the attempt, and a packet leaves its queue only at an
     # ack or an ack timeout, never while its node contends.
 
-    def _contention(self, node: int) -> tuple[int, int]:
-        """(IFS, backoff slots) of the node's attempt: its sense window is
-        the IFS that ends at the CCA."""
-        cfg = self.cfg
-        if self._emq[node]:
-            return cfg.ifs_high_us, cfg.backoff_slots_high
-        return cfg.ifs_low_us, cfg.backoff_slots_low
+    def _plan_of(self, node: int) -> _Plan:
+        """The plan of the node's attempt: its sense window is the IFS before the CCA."""
+        return self._emergency_plan if self._emq[node] else self._normal_plan
 
-    def _backoff(self, node: int, slots: int) -> int:
-        return self._rng[node].randrange(slots) * self.cfg.backoff_unit_us
+    def _head(self, node: int) -> tuple[_Plan, Packet, int]:
+        """The node's next data frame: its class's plan, its packet and the
+        frame's index in the plan (an emergency's is 0)."""
+        if self._emq[node]:
+            return self._emergency_plan, self._emq[node][0], 0
+        return self._normal_plan, self._nq[node][0], self._frag_idx[node]
 
     def _data_frame(self, node: int) -> tuple[int, str, tuple, str]:
-        """The node's next data frame: (bytes, kind, (packet, idx, fragment),
-        trace label); idx is -1 and fragment None for a whole emergency."""
-        traced = self.eng.trace is not None
-        if self._emq[node]:
-            packet = self._emq[node][0]
-            label = f" id={packet.pid}" if traced else ""
-            nbytes = packet.payload_bytes + self.cfg.header_bytes
-            return nbytes, self.DATA_WHOLE, (packet, -1, None), label
-        packet = self._nq[node][0]
-        frags = self._frags[node]
-        if frags is None:  # the packet's first frame: a fresh cursor
-            frags = self._frags[node] = fragment(
-                packet, self.fragment_size, self.cfg.header_bytes
-            )
-            self._frag_idx[node] = 0
-        idx = self._frag_idx[node]
-        frag = frags[idx]
-        label = f" id={packet.pid} frag={idx + 1}/{frag.count}" if traced else ""
-        return frag.payload_bytes + frag.header_bytes, self.DATA_FRAG, (packet, idx, frag), label
+        """The node's next data frame: (bytes, kind, (packet, idx), trace label)."""
+        plan, packet, idx = self._head(node)
+        label = self._data_label(packet, idx) if self.eng.trace is not None else ""
+        return plan.frame_bytes[idx], plan.kind, (packet, idx), label
+
+    def _data_label(self, packet: Packet, idx: int) -> str:
+        if packet.klass == EMERGENCY:
+            return f" id={packet.pid}"
+        return f" id={packet.pid} frag={idx + 1}/{len(self._layout)}"
 
     def _ack_label(self, target: int, packet: Packet) -> str:
         return f" to={target} id={packet.pid}" if self.eng.trace is not None else ""
 
-    def _received(self, packet: Packet, frag: Fragment | None) -> bool:
-        """The sink takes a clean data frame; True when its ack is final.
+    def _received(self, packet: Packet, idx: int) -> bool:
+        """The sink takes the packet's clean frame idx; True when its ack is final.
 
         A delivered packet has left its queue and is never sent again, so
         the ack is final for a clean whole frame, or once every fragment has
         reached the sink.
         """
-        if frag is None:
+        if packet.klass == EMERGENCY:
             return True
+        f = self._layout[idx]
+        frag = Fragment(packet.pid, idx, f.count, f.payload_bytes, f.header_bytes)
         self.reassembler.receive(frag)
         return self.reassembler.is_complete(packet.pid)
 
     # -- channel access -------------------------------------------------
 
     def _start_attempt(self, node: int, at: int) -> None:
-        """Contend from `at`: settle exchanges by arithmetic while they
-        qualify (see _settle), then queue the next one's CCA as an event."""
+        """Contend from `at`: settle runs of exchanges by arithmetic while
+        they qualify (see _settle), then queue the next one's CCA as an event."""
         ack = self._settle(node, at)
         while ack is not None:
             at = self._ack_received(*ack)
             if at is None:
                 return  # the node has nothing left to send
             ack = self._settle(node, at)
-        ifs, _slots = self._contention(node)
+        ifs = self._plan_of(node).ifs_us
         self._pending[node] = self.eng.schedule(at + ifs, node, self._cca_done, node)
 
     def _settle(self, node: int, at: int):
-        """Run the exchange that contends from `at` as arithmetic, if it qualifies.
+        """Settle by arithmetic the longest run of the node's next exchanges,
+        contending from `at`, that nothing can disturb.
 
-        It qualifies when nothing is on the air and even the longest backoff
-        ends the ack strictly before the next queued event and no later than
-        the run's end. Then nothing can happen between now and the ack's
-        end: a node acts, and a frame starts or ends, only at an event. So
-        the sense window is clear, the backoff draw (from the node's own
-        substream, as at a CCA) is the one the events would make, and
-        neither frame can be corrupted. The spans, the sink's reassembly,
-        the channel's last end and the trace lines are those the events
-        would leave, and a node that senses later sees the same channel.
-        Returns the ack's (target, final, packet, idx) with the clock at the
-        ack's end, or None, having drawn nothing, when the exchange must run
-        through events.
+        A run goes from the node's next frame (_head) up to at most its
+        packet's last. It qualifies when nothing is on the air and, with the
+        longest backoff for each frame and a gap after each ack but the
+        last, its last ack ends strictly before the next queued event and by
+        the run's end. Then nothing can happen until that ack ends: a node
+        acts, and a frame starts or ends, only at an event, and settling
+        schedules none. So every sense window is clear, each backoff draw
+        (one per frame, in order, from the node's own substream) is the one
+        its CCA would make, and no frame is corrupted. The spans, the sink's
+        reassembly, the channel's last end and the trace lines are those the
+        events would leave. A run of one frame has a single exchange's
+        bound, so a frame goes through events exactly when it would not
+        qualify alone.
 
-        A normal packet's remaining fragments settle at once (_settle_rest)
-        when the same bound holds for the last of them: their longest
-        backoffs, with a gap after each ack but the last, end its ack
-        strictly before the next event and by the run's end. Each exchange would then
-        qualify in turn, since settling schedules nothing and ends the air
-        clear. Otherwise this one exchange settles, if it qualifies alone.
+        Returns the run's last ack as (target, final, packet, idx), with the
+        clock at its end, or None, having drawn nothing. The ack is final
+        exactly when the run reaches the packet's last frame; stop-and-wait
+        then needs no reassembly. A run that stops short records its
+        fragments at the sink, where a later fragment sent through events
+        reads them.
         """
         eng = self.eng
         nxt = eng.queue.peek()
@@ -278,71 +294,45 @@ class FrogMac(ArrivalProcess):
             return None  # as when deferring to a frame on the air: its end is queued
         if eng.channel.busy_until(eng.now) != eng.now:
             return None  # a frame on the air outlasts the exchange
-        if not self._emq[node]:
-            first = 0 if self._frags[node] is None else self._frag_idx[node]
-            latest = at + self._rest[first][0]
-            if latest <= eng.duration_us and (nxt is None or latest < nxt):
-                return self._settle_rest(node, at, first)
-        ifs, slots = self._contention(node)
-        nbytes, kind, meta, label = self._data_frame(node)
-        data_air = eng.airtime(nbytes)
-        ack_air = self.ack_air_us
-        cca = at + ifs
-        longest = cca + (slots - 1) * self.cfg.backoff_unit_us + data_air + ack_air
-        if longest > eng.duration_us or (nxt is not None and longest >= nxt):
+        plan, packet, first = self._head(node)
+        gap = self.cfg.fragment_gap_us
+        limit = eng.duration_us if nxt is None else min(nxt - 1, eng.duration_us)
+        # Frames first..last-1 end by at - gap + latest[last] - latest[first].
+        last = bisect_right(plan.latest, limit - at + gap + plan.latest[first]) - 1
+        if last <= first:
             return None
 
-        start = cca + self._backoff(node, slots)
-        data_end = start + data_air
-        end = data_end + ack_air
-        packet, idx, frag = meta
-        final = self._received(packet, frag)
-        self.ledger.move(node, RX, TX, data_air)  # both frames end in the run
-        self.ledger.move(SINK, RX, TX, ack_air)
-        eng.record_tx(node, start, data_end, kind, label)
-        eng.record_tx(SINK, data_end, end, self.ACK, self._ack_label(node, packet))
-        eng.now = end
-        return node, final, packet, idx
-
-    def _settle_rest(self, node: int, at: int, first: int):
-        """Settle fragments first.. of the node's normal packet, contended
-        for from `at`, as _settle would one exchange at a time: the same
-        backoff draws in the same order, and the same trace lines, spans in
-        sum and channel end. Stop-and-wait sends a fragment only after the
-        previous one's clean ack, so the last ack is final without the
-        reassembler. Returns that ack, with the clock at its end."""
-        eng = self.eng
-        cfg = self.cfg
-        packet = self._nq[node][0]
-        count = len(self._frag_air)
-        _latest, fixed, data_air = self._rest[first]
-        draws = list(map(self._rng[node].randrange, repeat(cfg.backoff_slots_low, count - first)))
-        end = at + fixed + sum(draws) * cfg.backoff_unit_us
+        unit = self.cfg.backoff_unit_us
+        draws = list(map(self._rng[node].randrange, repeat(plan.slots, last - first)))
+        t = at - gap  # each frame contends one gap after the previous ack ends
+        end = t + plan.fixed[last] - plan.fixed[first] + sum(draws) * unit
         if eng.trace is not None:
             ack_label = self._ack_label(node, packet)
-            t = at - cfg.fragment_gap_us
+            air = plan.air
             for idx, draw in enumerate(draws, first):
-                start = t + cfg.fragment_gap_us + cfg.ifs_low_us + draw * cfg.backoff_unit_us
-                data_end = start + self._frag_air[idx]
+                start = t + gap + plan.ifs_us + draw * unit
+                data_end = start + air[idx + 1] - air[idx]
                 t = data_end + self.ack_air_us
-                label = f" id={packet.pid} frag={idx + 1}/{count}"
-                eng.record_tx(node, start, data_end, self.DATA_FRAG, label)
+                eng.record_tx(node, start, data_end, plan.kind, self._data_label(packet, idx))
                 eng.record_tx(SINK, data_end, t, self.ACK, ack_label)
-        self.ledger.move(node, RX, TX, data_air)  # every frame ends in the run
-        self.ledger.move(SINK, RX, TX, (count - first) * self.ack_air_us)
+        final = last == len(plan.frame_bytes)
+        if not final:
+            for idx in range(first, last):
+                self._received(packet, idx)
+        self.ledger.move(node, RX, TX, plan.air[last] - plan.air[first])  # all end in the run
+        self.ledger.move(SINK, RX, TX, (last - first) * self.ack_air_us)
         eng.channel.note_end(end)
         eng.now = end
-        return node, True, packet, count - 1
+        return node, final, packet, last - 1
 
     def _cca_done(self, node: int) -> None:
         eng = self.eng
-        ifs, slots = self._contention(node)
-        if eng.channel.busy_in(eng.now - ifs, eng.now):
+        plan = self._plan_of(node)
+        if eng.channel.busy_in(eng.now - plan.ifs_us, eng.now):
             self._start_attempt(node, eng.channel.busy_until(eng.now))
             return
-        self._pending[node] = eng.schedule(
-            eng.now + self._backoff(node, slots), node, self._tx_start, node
-        )
+        backoff = self._rng[node].randrange(plan.slots) * self.cfg.backoff_unit_us
+        self._pending[node] = eng.schedule(eng.now + backoff, node, self._tx_start, node)
 
     def _tx_start(self, node: int) -> None:
         eng = self.eng
@@ -360,7 +350,7 @@ class FrogMac(ArrivalProcess):
 
     def _on_data_end(self, tx, corrupted: bool) -> None:
         node = tx.src
-        packet, idx, frag = tx.meta
+        packet, idx = tx.meta
         # The sender cannot see corruption; it waits for the ack either way.
         if corrupted:
             # No ack will come: time out ack_slack_us after it would have ended.
@@ -372,7 +362,7 @@ class FrogMac(ArrivalProcess):
             )
             return
         # The sink acks at once, and the ack's end settles the wait.
-        self._send_ack(node, self._received(packet, frag), packet, idx)
+        self._send_ack(node, self._received(packet, idx), packet, idx)
 
     def _send_ack(self, target: int, final: bool, packet: Packet, idx: int) -> None:
         tx = self.eng.begin_tx(
@@ -420,7 +410,7 @@ class FrogMac(ArrivalProcess):
         """Move on from a packet that has left its queue: now, when the node
         has another packet to send, or None once it goes IDLE."""
         if gone.klass == NORMAL:
-            self._frags[node] = None  # the next normal packet gets a fresh cursor
+            self._frag_idx[node] = 0  # the next normal packet starts at its first fragment
             self.reassembler.forget(gone.pid)
         if self._emq[node] or self._nq[node]:
             return self.eng.now

@@ -1,8 +1,11 @@
 """Run-configuration defaults, file parsing, and validation."""
 
+import dataclasses
+
 import pytest
 
 from priomac.config import SimConfig, parse_config
+from priomac.engine import PHASE_STREAM_OFFSET, POPULATION_STREAM
 
 
 def test_defaults_match_the_experiment_baseline():
@@ -98,6 +101,18 @@ def test_validate_rejects_bad_ranges():
     ):
         with pytest.raises(ValueError, match=name):
             SimConfig(**kwargs).validate()
+
+
+def test_every_node_keeps_its_own_random_substreams():
+    # Node i draws its MAC from substream i and its phases from substream
+    # PHASE_STREAM_OFFSET + i; the population draws from POPULATION_STREAM.
+    # Past the bound, node 65537's MAC stream would be node 1's phase stream.
+    SimConfig(n_nodes=65_535).validate()
+    with pytest.raises(ValueError, match="n_nodes"):
+        SimConfig(n_nodes=65_536).validate()
+    top = {f.name: f.metadata for f in dataclasses.fields(SimConfig)}["n_nodes"]["le"]
+    assert top < PHASE_STREAM_OFFSET
+    assert PHASE_STREAM_OFFSET + top < POPULATION_STREAM
 
 
 def test_defaults_validate():

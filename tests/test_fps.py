@@ -388,6 +388,32 @@ def test_fast_forward_matches_frame_by_frame_accrual(duration, seed, ack_loss_p)
         assert 0 < 9 * len(built) <= len(skipped), "scenario has no long empty gaps"
 
 
+@pytest.mark.parametrize("interval_s,duration_s", [(10.0, 1000.0), (0.3, 100.0)])
+def test_each_delivery_ends_its_slots_exchange_in_a_frame_after_arrival(interval_s, duration_s):
+    # ROADMAP item 2's fps oracle, exact per packet: a delivery comes at the
+    # end of the ack in the slot its last data frame used, so less the
+    # slot's offset, data and ack airtimes it is a frame start, and that
+    # frame starts after the packet arrived (an arrival at a frame start
+    # misses that frame's snapshot).
+    nodes = build_population(20, 18, seed=1, normal_interval_us=int(interval_s * 1e6))
+    rep, rec, _ = run_fps(nodes, int(duration_s * 1e6), normal_interval_us=int(interval_s * 1e6))
+    arrived, slot, checked = {}, {}, 0
+    for t, _, kind, detail in rec:
+        f = dict(field.split("=", 1) for field in detail.split())
+        if kind == "arrival":
+            arrived[f["id"]] = t
+        elif kind == "tx-start" and f.get("kind") == "data-whole":
+            slot[f["id"]] = int(f["slot"])
+        elif kind == "delivery":
+            start = t - (GEOM.data_offset + slot[f["id"]] * GEOM.slot_len
+                         + GEOM.data_air + GEOM.ack_air)
+            assert start % FRAME == 0, (t, detail)
+            assert start > arrived[f["id"]], (t, detail)
+            checked += 1
+    assert checked == rep.delivered > 0
+    assert rep.classes[EMERGENCY].delivered > 0
+
+
 def test_data_slots_never_collide_under_load():
     nodes = [member(i, emergency=(i <= 6), em_phase=i * 7000,
                     normal_phase=i * 311_000) for i in range(1, 21)]

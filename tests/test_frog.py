@@ -537,22 +537,28 @@ def test_an_exchange_settles_only_before_the_next_event_and_by_the_run_end(
         assert delivered == (offset >= 0)
 
 
-# -- whole-packet settlement ----------------------------------------------
+# -- runs of exchanges settled at once -------------------------------------
 #
 # A lone sender at fragment size 2 with one backoff slot: its packet is 17
-# fragments whose exchanges have no draw to vary, so the whole-packet bound
-# is exact. From an arrival at 0 the last ack ends at PACKET_END.
+# fragments whose exchanges have no draw to vary, so every run's bound is
+# exact. From an arrival at 0 fragment k's ack ends at ack_end(k), and the
+# last one at PACKET_END.
 
 WHOLE = {"fragment_size": 2, "backoff_slots_low": 1}
 _T = SimConfig(**WHOLE)
-PACKET_END = 17 * (
-    _T.ifs_low_us + tx_duration_us(2 + _T.header_bytes) + tx_duration_us(_T.ack_bytes)
-) + 16 * _T.fragment_gap_us
+
+
+def ack_end(k):
+    exchange = _T.ifs_low_us + tx_duration_us(2 + _T.header_bytes) + tx_duration_us(_T.ack_bytes)
+    return k * exchange + (k - 1) * _T.fragment_gap_us
+
+
+PACKET_END = ack_end(17)
 
 
 def count_data_frames(mac):
-    """The nodes of every data frame the MAC builds one exchange at a time,
-    in a list that grows as it runs; fragments settled whole build none."""
+    """The nodes of every data frame the MAC sends through events, in a
+    list that grows as it runs; a run settled by arithmetic builds none."""
     built = []
     data_frame = mac._data_frame
 
@@ -562,6 +568,20 @@ def count_data_frames(mac):
 
     mac._data_frame = counted
     return built
+
+
+def taken_acks(mac):
+    """(class, frame number) of every ack the MAC's senders take, in a list
+    that grows as it runs; a run settled by arithmetic takes only its last."""
+    taken = []
+    ack_received = mac._ack_received
+
+    def recorded(node, final, packet, idx):
+        taken.append((packet.klass, idx + 1))
+        return ack_received(node, final, packet, idx)
+
+    mac._ack_received = recorded
+    return taken
 
 
 def run_lone(mac_class, duration, nodes=None, traced=True, setup=None, **overrides):
@@ -610,21 +630,58 @@ def test_a_packet_settles_whole_only_before_the_next_event_and_by_the_run_end(bo
         assert rep.classes[NORMAL].delivered == (offset >= 0)
 
 
-@pytest.mark.parametrize("em_at,frags_before", [
-    (5 * (PACKET_END + _T.fragment_gap_us) // 17 + 500, 5), (PACKET_END - 1, 17),
+@pytest.mark.parametrize("em_at,frags_before,acks,built_nodes", [
+    (5 * (PACKET_END + _T.fragment_gap_us) // 17 + 500, 5,
+     [(NORMAL, 5), (EMERGENCY, 1), (NORMAL, 17)], [1]),
+    (PACKET_END - 1, 17, [(NORMAL, 16), (NORMAL, 17), (EMERGENCY, 1)], [1]),
 ], ids=["in-an-ifs", "in-the-last-ack"])
-def test_an_own_emergency_inside_the_bound_falls_back_to_single_exchanges(em_at, frags_before):
+def test_an_own_emergency_inside_the_bound_cuts_the_run_short(
+    em_at, frags_before, acks, built_nodes
+):
     # The node's own emergency arrival is a queued event inside the bound,
-    # so the packet does not settle whole from its first fragment. Either
-    # the emergency preempts fragment 6 in its IFS, or it waits out the
-    # last ack; the trace and report are those of the events-only MAC.
+    # so the packet does not settle in one run from its first fragment.
+    # Either fragments 1 to 5 settle, the emergency preempts fragment 6 in
+    # its IFS and goes through events (the cancelled CCA is still queued),
+    # and fragments 6 to 17 settle as a second run; or fragments 1 to 16
+    # settle, and fragment 17, in whose ack the emergency arrives, goes
+    # through events while the emergency waits it out. The trace and
+    # report are those of the events-only MAC.
     nodes = [NodeConfig(1, 10.0, 10.0, True, 0, em_at)]
-    rec, rep, built, _ = run_lone(FrogMac, 100_000, nodes)
+    rec, rep, built, taken = run_lone(FrogMac, 100_000, nodes, setup=lambda _, mac: taken_acks(mac))
     events = run_lone(EventPathFrogMac, 100_000, nodes)
     assert (rec, rep) == events[:2]
-    assert built and rep.classes[NORMAL].delivered == rep.classes[EMERGENCY].delivered == 1
+    assert (taken, built) == (acks, built_nodes)
+    assert rep.classes[NORMAL].delivered == rep.classes[EMERGENCY].delivered == 1
     assert [d for _, d in tx_starts(rec)].index("kind=data-whole id=1") == frags_before
     assert run_lone(FrogMac, 100_000, nodes, traced=False)[1:3] == (rep, built)
+
+
+@pytest.mark.parametrize("k", [1, 8, 16])
+@pytest.mark.parametrize("event", ["probe", "foreign-frame"])
+def test_a_run_stops_at_an_event_and_the_packet_goes_on(event, k):
+    # An event just after fragment k's ack: a probe owned by the sink, or a
+    # foreign frame that holds the channel across fragment k+1's IFS.
+    # Fragments 1 to k settle as one run. Fragment k+1 meets the event and
+    # goes through events, the only data frame built, and the rest settle
+    # as a second run that ends the packet. At k = 16 the events send the
+    # last fragment, and the sink completes the packet from the first
+    # run's fragments. Trace, report and probe reading are those of the
+    # events-only MAC.
+    def disturb(eng, mac):
+        queued = []
+        if event == "probe":
+            eng.schedule(ack_end(k) + 1, SINK, lambda _: queued.append(len(mac._nq[1])))
+        else:
+            eng.schedule(ack_end(k) + 1, 99, lambda _: eng.begin_tx(99, 200, "noise"))
+        return queued, taken_acks(mac)
+
+    rec, rep, built, (queued, taken) = run_lone(FrogMac, 100_000, setup=disturb)
+    events = run_lone(EventPathFrogMac, 100_000, setup=disturb)
+    assert (rec, rep, queued) == (events[0], events[1], events[3][0])
+    assert built == [1] and rep.classes[NORMAL].delivered == 1
+    assert taken == [(NORMAL, n) for n in sorted({k, k + 1, 17})]
+    assert queued == ([1] if event == "probe" else [])
+    assert run_lone(FrogMac, 100_000, traced=False, setup=disturb)[1:3] == (rep, built)
 
 
 def test_a_packet_settles_its_remaining_fragments_after_some_went_through_events():

@@ -337,6 +337,7 @@ def test_cli_rejects_config_errors(tmp_path, capsys):
         ("slot_guard_us",
          ["--protocol", "fps", "--slot-guard-us", "128", "--n-emergency", "18"]),
         ("seed", ["--seed", "banana"]),
+        ("n_nodes", ["--n-nodes", "70000", "--duration-s", "1"]),
         # argparse reads a lone "-inf" as an option, not as the flag's value
         ("--p-tx-mw", ["--p-tx-mw", "-inf"]),
     ):
