@@ -14,6 +14,12 @@ ack retries the same frame after re-contending, and drops the packet
 after frog_max_retries consecutive failures of one frame. An emergency
 exchange in between neither renews nor spends a fragment's budget.
 
+A sender sends a frame only after the clean ack of the frame before it
+(stop-and-wait), so the sink receives a packet's fragments in order and
+holds the packet whole exactly when its last frame arrives clean. The
+sink therefore keeps no record of fragments: the ack to a packet's last
+frame is final, and its clean end delivers the packet (_Plan.is_last).
+
 An exchange (sense window, backoff, data frame, the sink's ack) runs as
 four events: the CCA, the end of the backoff, and the ends of the two
 frames. When nothing is on the air as a node starts to contend, the
@@ -22,9 +28,9 @@ once by arithmetic: the run's longest backoffs, with a gap after each ack
 but the last, must end its last ack strictly before the next queued event
 and by the run's end. It may be one exchange, an emergency, or a normal
 packet's fragments from its cursor up to the last. The backoffs are drawn
-one per exchange in order, and the energy spans, reassembly and trace
-lines are those the events would leave. Reports, traces and sweep files
-are the same either way; only the number of events dispatched differs.
+one per exchange in order, and the energy spans and trace lines are those
+the events would leave. Reports, traces and sweep files are the same
+either way; only the number of events dispatched differs.
 
 Energy is baseline_us plus clipped moves, and the shared base charges the
 baseline at the end of the run (see ArrivalProcess). The baseline has the
@@ -54,67 +60,6 @@ ACK_WAIT = -1
 
 
 @dataclass(slots=True)
-class Fragment:
-    packet_id: int
-    index: int
-    count: int
-    payload_bytes: int
-    header_bytes: int
-
-
-def fragment(
-    packet: Packet, fragment_size: int, header_bytes: int = SimConfig.header_bytes
-) -> list[Fragment]:
-    """Split a packet's payload into fragments; only the last may run short."""
-    if packet.klass == EMERGENCY:
-        raise ValueError("emergency packets are sent whole, never fragmented")
-    if not 1 <= fragment_size <= packet.payload_bytes:
-        raise ValueError(
-            f"fragment_size must be in [1, {packet.payload_bytes}], got {fragment_size}"
-        )
-    count = -(-packet.payload_bytes // fragment_size)
-    out = []
-    remaining = packet.payload_bytes
-    for i in range(count):
-        size = fragment_size if remaining >= fragment_size else remaining
-        remaining -= size
-        out.append(Fragment(packet.pid, i, count, size, header_bytes))
-    return out
-
-
-class SinkReassembler:
-    """Per-packet fragment collection at the sink, idempotent on retries."""
-
-    __slots__ = ("_seen",)
-
-    def __init__(self):
-        self._seen = {}  # pid -> [expected count, set of indices, payload byte sum]
-
-    def receive(self, frag: Fragment) -> bool:
-        """Record one clean fragment; True when the packet just completed."""
-        st = self._seen.get(frag.packet_id)
-        if st is None:
-            st = self._seen[frag.packet_id] = [frag.count, set(), 0]
-        if frag.index in st[1]:
-            return False  # duplicate retransmission
-        st[1].add(frag.index)
-        st[2] += frag.payload_bytes
-        return len(st[1]) == st[0]
-
-    def is_complete(self, pid: int) -> bool:
-        st = self._seen.get(pid)
-        return st is not None and len(st[1]) == st[0]
-
-    def payload_bytes(self, pid: int) -> int:
-        st = self._seen.get(pid)
-        return st[2] if st is not None else 0
-
-    def forget(self, pid: int) -> None:
-        """Drop a packet's entry once the packet has left its queue."""
-        self._seen.pop(pid, None)
-
-
-@dataclass(slots=True)
 class _Plan:
     """How a packet of one class goes out: its data frames' kind and sizes,
     their contention (IFS and backoff slots), and prefix sums over the
@@ -129,6 +74,10 @@ class _Plan:
     latest: list[int]
     fixed: list[int]
     air: list[int]
+
+    def is_last(self, idx: int) -> bool:
+        """Whether frame idx is its packet's last, whose clean ack is final."""
+        return idx + 1 == len(self.frame_bytes)
 
 
 class FrogMac(ArrivalProcess):
@@ -153,20 +102,18 @@ class FrogMac(ArrivalProcess):
     ):
         super().__init__(eng, nodes, metrics, ledger, cfg)
         self.ack_air_us = eng.airtime(cfg.ack_bytes)
-        self.reassembler = SinkReassembler()
 
         n = len(self._nq)
         self._frag_idx = [0] * n  # the next fragment of each node's normal head
         self._pending = [None] * n
 
         # Every packet carries cfg.payload_bytes, so all normal packets share
-        # one fragment layout, and every emergency is one whole frame.
-        self._layout = fragment(
-            Packet(-1, SINK, NORMAL, 0, cfg.payload_bytes),
-            cfg.resolved_fragment_size(), cfg.header_bytes,
-        )
+        # one fragment layout, where only the last fragment may run short,
+        # and every emergency is one whole frame.
+        size, payload = cfg.resolved_fragment_size(), cfg.payload_bytes
         self._normal_plan = self._build_plan(
-            self.DATA_FRAG, [f.payload_bytes + f.header_bytes for f in self._layout],
+            self.DATA_FRAG,
+            [min(size, payload - at) + cfg.header_bytes for at in range(0, payload, size)],
             cfg.ifs_low_us, cfg.backoff_slots_low,
         )
         self._emergency_plan = self._build_plan(
@@ -222,32 +169,19 @@ class FrogMac(ArrivalProcess):
         return self._normal_plan, self._nq[node][0], self._frag_idx[node]
 
     def _data_frame(self, node: int) -> tuple[int, str, tuple, str]:
-        """The node's next data frame: (bytes, kind, (packet, idx), trace label)."""
+        """The node's next data frame: (bytes, kind, (packet, idx, final), trace
+        label), where final says whether the sink's ack to it is final."""
         plan, packet, idx = self._head(node)
         label = self._data_label(packet, idx) if self.eng.trace is not None else ""
-        return plan.frame_bytes[idx], plan.kind, (packet, idx), label
+        return plan.frame_bytes[idx], plan.kind, (packet, idx, plan.is_last(idx)), label
 
     def _data_label(self, packet: Packet, idx: int) -> str:
         if packet.klass == EMERGENCY:
             return f" id={packet.pid}"
-        return f" id={packet.pid} frag={idx + 1}/{len(self._layout)}"
+        return f" id={packet.pid} frag={idx + 1}/{len(self._normal_plan.frame_bytes)}"
 
     def _ack_label(self, target: int, packet: Packet) -> str:
         return f" to={target} id={packet.pid}" if self.eng.trace is not None else ""
-
-    def _received(self, packet: Packet, idx: int) -> bool:
-        """The sink takes the packet's clean frame idx; True when its ack is final.
-
-        A delivered packet has left its queue and is never sent again, so
-        the ack is final for a clean whole frame, or once every fragment has
-        reached the sink.
-        """
-        if packet.klass == EMERGENCY:
-            return True
-        f = self._layout[idx]
-        frag = Fragment(packet.pid, idx, f.count, f.payload_bytes, f.header_bytes)
-        self.reassembler.receive(frag)
-        return self.reassembler.is_complete(packet.pid)
 
     # -- channel access -------------------------------------------------
 
@@ -275,18 +209,18 @@ class FrogMac(ArrivalProcess):
         acts, and a frame starts or ends, only at an event, and settling
         schedules none. So every sense window is clear, each backoff draw
         (one per frame, in order, from the node's own substream) is the one
-        its CCA would make, and no frame is corrupted. The spans, the sink's
-        reassembly, the channel's last end and the trace lines are those the
-        events would leave. A run of one frame has a single exchange's
-        bound, so a frame goes through events exactly when it would not
-        qualify alone.
+        its CCA would make, and no frame is corrupted. The spans, the
+        channel's last end and the trace lines are those the events would
+        leave. A run of one frame has a single exchange's bound, so a frame
+        goes through events exactly when it would not qualify alone.
 
         Returns the run's last ack as (target, final, packet, idx), with the
-        clock at its end, or None, having drawn nothing. The ack is final
-        exactly when the run reaches the packet's last frame; stop-and-wait
-        then needs no reassembly. A run that stops short records its
-        fragments at the sink, where a later fragment sent through events
-        reads them.
+        clock at its end, or None, having drawn nothing. The ack is final by
+        the rule the events use (_Plan.is_last): exactly when the run
+        reaches the packet's last frame. That is exact because a frame is
+        sent only after the clean ack of the frame before it, so the sink
+        holds the packet whole exactly when its last frame arrives clean,
+        whether the earlier frames were settled or went through events.
         """
         eng = self.eng
         nxt = eng.queue.peek()
@@ -315,15 +249,11 @@ class FrogMac(ArrivalProcess):
                 t = data_end + self.ack_air_us
                 eng.record_tx(node, start, data_end, plan.kind, self._data_label(packet, idx))
                 eng.record_tx(SINK, data_end, t, self.ACK, ack_label)
-        final = last == len(plan.frame_bytes)
-        if not final:
-            for idx in range(first, last):
-                self._received(packet, idx)
         self.ledger.move(node, RX, TX, plan.air[last] - plan.air[first])  # all end in the run
         self.ledger.move(SINK, RX, TX, (last - first) * self.ack_air_us)
         eng.channel.note_end(end)
         eng.now = end
-        return node, final, packet, last - 1
+        return node, plan.is_last(last - 1), packet, last - 1
 
     def _cca_done(self, node: int) -> None:
         eng = self.eng
@@ -350,7 +280,7 @@ class FrogMac(ArrivalProcess):
 
     def _on_data_end(self, tx, corrupted: bool) -> None:
         node = tx.src
-        packet, idx = tx.meta
+        packet, idx, final = tx.meta
         # The sender cannot see corruption; it waits for the ack either way.
         if corrupted:
             # No ack will come: time out ack_slack_us after it would have ended.
@@ -362,7 +292,7 @@ class FrogMac(ArrivalProcess):
             )
             return
         # The sink acks at once, and the ack's end settles the wait.
-        self._send_ack(node, self._received(packet, idx), packet, idx)
+        self._send_ack(node, final, packet, idx)
 
     def _send_ack(self, target: int, final: bool, packet: Packet, idx: int) -> None:
         tx = self.eng.begin_tx(
@@ -411,7 +341,6 @@ class FrogMac(ArrivalProcess):
         has another packet to send, or None once it goes IDLE."""
         if gone.klass == NORMAL:
             self._frag_idx[node] = 0  # the next normal packet starts at its first fragment
-            self.reassembler.forget(gone.pid)
         if self._emq[node] or self._nq[node]:
             return self.eng.now
         self._move(node, RX, IDLE, self.eng.now, self.eng.duration_us)

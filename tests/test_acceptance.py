@@ -21,10 +21,11 @@ from dataclasses import astuple
 
 import pytest
 
+from _frog_frames import EventPathFrogMac, assert_frames_are_sound
 from _mamdani_ref import reference_core
 from priomac.config import SimConfig
 from priomac.engine import SINK, Engine, tx_duration_us
-from priomac.frog import FrogMac, SinkReassembler, fragment
+from priomac.frog import FrogMac
 from priomac.fuzzy import fuzzy_core, priority_score
 from priomac.harness import (
     EMERGENCY_COUNTS,
@@ -36,7 +37,7 @@ from priomac.harness import (
     write_sweep,
 )
 from priomac.metrics import EnergyLedger, MetricsCollector
-from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet, build_population
+from priomac.traffic import EMERGENCY, NodeConfig, build_population
 
 BASE = SimConfig()
 SEEDS = range(1, 11)
@@ -332,18 +333,43 @@ def test_criterion_5_preemption_guarantee():
 
 # -- 6: fragmentation oracle ---------------------------------------------------------
 
+def fragment_run(mac_class, size):
+    """A lone sender's one 34-byte packet at fragment size `size`: its trace."""
+    rec = []
+    eng = Engine(duration_us=1_000_000, trace=lambda t, n, k, d: rec.append((t, n, k, d)))
+    metrics = MetricsCollector()
+    cfg = SimConfig(fragment_size=size)
+    ledger = EnergyLedger([SINK, 1], cfg.power_mw)
+    mac = mac_class(eng, [NodeConfig(1, 10.0, 10.0, False, 0, 0)], metrics, ledger, cfg)
+    mac.start()
+    eng.run()
+    return rec
+
+
 def test_criterion_6_fragmentation_round_trip():
+    # Every fragment carries `size` payload bytes but the last, which
+    # carries the rest; through the shipped MAC and the one that runs every
+    # exchange through events, the packet goes out as those frames in
+    # order and is delivered once, at the clean ack of its last fragment.
     for size in range(1, 35):
-        p = Packet(size, 1, NORMAL, 0, 34)
-        frags = fragment(p, size)
-        assert len(frags) == -(-34 // size)
-        assert sum(f.payload_bytes for f in frags) == 34
-        sink = SinkReassembler()
-        order = list(frags)
-        random.Random(size).shuffle(order)
-        done = [sink.receive(f) for f in order]
-        assert done.count(True) == 1 and done[-1] is True
-        assert sink.is_complete(p.pid) and sink.payload_bytes(p.pid) == 34
+        count = -(-34 // size)
+        payloads = [size] * (count - 1) + [34 - size * (count - 1)]
+        assert sum(payloads) == 34 and 0 < payloads[-1] <= size
+        for mac_class in (FrogMac, EventPathFrogMac):
+            rec = fragment_run(mac_class, size)
+            assert assert_frames_are_sound(rec, BASE.frog_max_retries) == 1
+            data = [(t, k, d) for t, n, k, d in rec if n == 1]
+            assert [d for _, k, d in data if k == "tx-start"] == [
+                f"kind=data-frag id=0 frag={i}/{count}" for i in range(1, count + 1)
+            ]
+            starts = [t for t, k, _ in data if k == "tx-start"]
+            ends = [t for t, k, _ in data if k == "tx-end"]
+            assert [e - s for s, e in zip(starts, ends)] == [
+                tx_duration_us(p + BASE.header_bytes) for p in payloads
+            ]
+            acks = [t for t, n, k, d in rec if n == SINK and k == "tx-end"]
+            delivered = [t for t, _, k, _ in rec if k == "delivery"]
+            assert len(acks) == count and delivered == acks[-1:]
     assert verdict(6, "fragmentation oracle", True, "round-trip for sizes 1..34")
 
 

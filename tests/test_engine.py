@@ -221,7 +221,6 @@ def test_event_queue_matches_a_sorted_list_model(ops):
     queue = EventQueue()
     live = {}  # handle -> (time, owner, handle): the events not yet popped or cancelled
     handles = []
-    dead = {}  # handle -> (time, owner, handle): cancelled events still on the heap
 
     def fired(_arg):
         pass
@@ -229,13 +228,10 @@ def test_event_queue_matches_a_sorted_list_model(ops):
     def check_pop():
         got = queue.pop()
         if not live:
-            assert got is None
-            dead.clear()
+            assert got is None and not queue._cancelled  # a drained heap keeps no handle
             return
         want = min(live.values())
         del live[want[2]]
-        for h in [h for h, key in dead.items() if key < want]:
-            del dead[h]  # skipped on the way to want
         assert got == (want[0], want[1], fired, want[2])
 
     for op in ops:
@@ -247,13 +243,12 @@ def test_event_queue_matches_a_sorted_list_model(ops):
         elif op[0] == "cancel" and handles:
             handle = handles[op[1] % len(handles)]  # may be popped or cancelled already
             queue.cancel(handle)
-            if handle in live:
-                dead[handle] = live.pop(handle)
+            live.pop(handle, None)
         elif op[0] == "peek":
-            # The heap top: None on an empty heap, at most the next event to
-            # fire, and its time when no cancelled event lies ahead of it.
-            on_heap = list(live.values()) + list(dead.values())
-            assert queue.peek() == (min(on_heap)[0] if on_heap else None)
+            # The next event to fire: cancelled events ahead of it are
+            # discarded, so peek never reads a time that pop would skip.
+            assert queue.peek() == (min(live.values())[0] if live else None)
+            assert live or not queue._cancelled
         else:
             check_pop()
     while live:

@@ -1,71 +1,14 @@
-"""Fragmentation arithmetic, reassembly, and CSMA behavior of the frog MAC."""
+"""Timing rules, stop-and-wait fragments, and CSMA behavior of the frog MAC."""
 
 import pytest
 
 from priomac.config import SimConfig
 from priomac.engine import SINK, Engine, substream, tx_duration_us
-from priomac.frog import FrogMac, SinkReassembler, fragment
+from priomac.frog import FrogMac
 from priomac.metrics import EnergyLedger, MetricsCollector
-from priomac.traffic import EMERGENCY, NORMAL, NodeConfig, Packet, build_population
+from priomac.traffic import EMERGENCY, NORMAL, NodeConfig
 
 from _frog_frames import EventPathFrogMac, assert_frames_are_sound
-
-
-def pkt(payload=34, klass=NORMAL):
-    return Packet(1, 1, klass, 0, payload)
-
-
-# -- fragmentation --------------------------------------------------------
-
-def test_fragment_oracle_default_payload():
-    frags = fragment(pkt(), 8)
-    assert [f.payload_bytes for f in frags] == [8, 8, 8, 8, 2]
-    assert [f.index for f in frags] == [0, 1, 2, 3, 4]
-    assert all(f.count == 5 and f.header_bytes == 5 for f in frags)
-
-
-def test_fragment_whole_packet_and_minimum():
-    assert [f.payload_bytes for f in fragment(pkt(), 34)] == [34]
-    assert [f.payload_bytes for f in fragment(pkt(), 2)] == [2] * 17
-
-
-def test_fragment_count_matches_ceiling():
-    for size in range(1, 35):
-        frags = fragment(pkt(), size)
-        assert len(frags) == -(-34 // size)
-        assert sum(f.payload_bytes for f in frags) == 34
-
-
-def test_fragment_rejects_emergency_and_bad_sizes():
-    with pytest.raises(ValueError):
-        fragment(pkt(klass=EMERGENCY), 8)
-    with pytest.raises(ValueError):
-        fragment(pkt(), 0)
-    with pytest.raises(ValueError):
-        fragment(pkt(), 35)
-
-
-def test_reassembly_round_trip_all_sizes():
-    for size in range(1, 35):
-        sink = SinkReassembler()
-        frags = fragment(pkt(), size)
-        for f in frags[:-1]:
-            assert sink.receive(f) is False
-        assert sink.receive(frags[-1]) is True
-        assert sink.is_complete(1)
-        assert sink.payload_bytes(1) == 34
-
-
-def test_reassembly_ignores_duplicates_and_order():
-    sink = SinkReassembler()
-    frags = fragment(pkt(), 8)
-    assert sink.receive(frags[3]) is False
-    assert sink.receive(frags[3]) is False  # retransmission
-    for f in (frags[0], frags[4], frags[1]):
-        assert sink.receive(f) is False
-    assert sink.receive(frags[2]) is True
-    assert sink.receive(frags[2]) is False  # late duplicate after completion
-    assert sink.payload_bytes(1) == 34
 
 
 # -- timing invariants ----------------------------------------------------
@@ -444,54 +387,43 @@ def test_a_retry_waits_out_the_ack_timeout(target):
 
 def test_a_corrupted_final_fragment_is_sent_again_before_delivery():
     # A jammer outside the MAC spoils the first try of the last fragment
-    # only. The sender times out and sends it again, and the packet is
-    # delivered at the clean ack of that second try, not on the spoiled frame.
-    rec, jammed = [], []
+    # only: its data frame, or the sink's ack to it. The sender times out
+    # and sends it again, and the packet is delivered once, at the clean
+    # ack of that second try. When the ack was jammed, the sink takes the
+    # last fragment clean twice; the second is a duplicate of a complete
+    # packet, and its final ack is the one that delivers.
+    for target, first_try in [
+        ("data", [(1, "kind=data-frag id=0 frag=5/5 corrupted=1")]),
+        ("ack", [(1, "kind=data-frag id=0 frag=5/5 corrupted=0"),
+                 (SINK, "kind=ack to=1 id=0 corrupted=1")]),
+    ]:
+        rec, jammed = [], []
 
-    def trace(t, n, k, d):
-        rec.append((t, n, k, d))
-        if n == 1 and k == "tx-start" and d.endswith("frag=5/5") and not jammed:
-            jammed.append(t)
-            eng.schedule(t + 1, 99, lambda _: eng.begin_tx(99, 1, "noise"))
+        def trace(t, n, k, d):
+            rec.append((t, n, k, d))
+            if k != "tx-start" or jammed:
+                return
+            last = [d for _, m, j, d in rec[:-1] if m == 1 and j == "tx-start"][-1:]
+            if (n == 1 and target == "data" and d.endswith("frag=5/5")) or (
+                n == SINK and target == "ack" and last == ["kind=data-frag id=0 frag=5/5"]
+            ):
+                jammed.append(t)
+                eng.schedule(t + 1, 99, lambda _: eng.begin_tx(99, 1, "noise"))
 
-    eng, mac, metrics, ledger = make_mac(
-        lone_sender(), 60_000, trace=trace, mac_class=EventPathFrogMac
-    )
-    mac.start()
-    eng.run()
-    assert assert_frames_are_sound(rec, mac.cfg.frog_max_retries) == 1
-    assert tx_starts(rec)[-2:] == [
-        (jammed[0], "kind=data-frag id=0 frag=5/5"),
-        (tx_starts(rec)[-1][0], "kind=data-frag id=0 frag=5/5"),
-    ]
-    ends = [(n, d) for t, n, k, d in rec if k == "tx-end" and n in (1, SINK)]
-    assert ends[-3:] == [
-        (1, "kind=data-frag id=0 frag=5/5 corrupted=1"),
-        (1, "kind=data-frag id=0 frag=5/5 corrupted=0"),
-        (SINK, "kind=ack to=1 id=0 corrupted=0"),
-    ]
-    assert metrics.summarize(ledger, 60_000, mac.queues).classes[NORMAL].delivered == 1
-
-
-def test_the_sink_keeps_fragments_only_of_queued_packets():
-    # A packet's reassembly entry goes when the packet leaves its queue, so
-    # the sink holds at most one entry per member, not one per packet sent.
-    # The jammed lone sender drops its only packet with fragment 1 at the
-    # sink; the saturated run, with no retries, both delivers and drops.
-    _, rep, mac = run_jammed("ack")
-    assert rep.classes[NORMAL].dropped == 1
-    assert mac.reassembler._seen == {}
-
-    nodes = build_population(10, 0, seed=1, normal_interval_us=10_000)
-    eng, mac, metrics, ledger = make_mac(
-        nodes, 2_000_000, fragment_size=2, normal_interval_s=0.01, frog_max_retries=0
-    )
-    mac.start()
-    eng.run()
-    rep = metrics.summarize(ledger, 2_000_000, mac.queues)
-    assert rep.classes[NORMAL].delivered > 0 and rep.classes[NORMAL].dropped > 0
-    heads = {q[0].pid for q in mac._nq if q}
-    assert set(mac.reassembler._seen) <= heads
+        eng, mac, metrics, ledger = make_mac(
+            lone_sender(), 60_000, trace=trace, mac_class=EventPathFrogMac
+        )
+        mac.start()
+        eng.run()
+        assert assert_frames_are_sound(rec, mac.cfg.frog_max_retries) == 1
+        assert [d for _, d in tx_starts(rec)[-2:]] == ["kind=data-frag id=0 frag=5/5"] * 2
+        ends = [(t, n, d) for t, n, k, d in rec if k == "tx-end" and n in (1, SINK)]
+        assert [(n, d) for _, n, d in ends[-2 - len(first_try):]] == first_try + [
+            (1, "kind=data-frag id=0 frag=5/5 corrupted=0"),
+            (SINK, "kind=ack to=1 id=0 corrupted=0"),
+        ]
+        assert [t for t, _, k, _ in rec if k == "delivery"] == [ends[-1][0]]
+        assert metrics.summarize(ledger, 60_000, mac.queues).classes[NORMAL].delivered == 1
 
 
 @pytest.mark.parametrize("mac_class", [FrogMac, EventPathFrogMac], ids=["shipped", "events"])
@@ -632,7 +564,7 @@ def test_a_packet_settles_whole_only_before_the_next_event_and_by_the_run_end(bo
 
 @pytest.mark.parametrize("em_at,frags_before,acks,built_nodes", [
     (5 * (PACKET_END + _T.fragment_gap_us) // 17 + 500, 5,
-     [(NORMAL, 5), (EMERGENCY, 1), (NORMAL, 17)], [1]),
+     [(NORMAL, 5), (EMERGENCY, 1), (NORMAL, 17)], []),
     (PACKET_END - 1, 17, [(NORMAL, 16), (NORMAL, 17), (EMERGENCY, 1)], [1]),
 ], ids=["in-an-ifs", "in-the-last-ack"])
 def test_an_own_emergency_inside_the_bound_cuts_the_run_short(
@@ -641,11 +573,11 @@ def test_an_own_emergency_inside_the_bound_cuts_the_run_short(
     # The node's own emergency arrival is a queued event inside the bound,
     # so the packet does not settle in one run from its first fragment.
     # Either fragments 1 to 5 settle, the emergency preempts fragment 6 in
-    # its IFS and goes through events (the cancelled CCA is still queued),
-    # and fragments 6 to 17 settle as a second run; or fragments 1 to 16
-    # settle, and fragment 17, in whose ack the emergency arrives, goes
-    # through events while the emergency waits it out. The trace and
-    # report are those of the events-only MAC.
+    # its IFS and settles too (the CCA it cancels no longer bounds it), and
+    # fragments 6 to 17 settle as a third run, so no data frame is built;
+    # or fragments 1 to 16 settle, and fragment 17, in whose ack the
+    # emergency arrives, goes through events while the emergency waits it
+    # out. The trace and report are those of the events-only MAC.
     nodes = [NodeConfig(1, 10.0, 10.0, True, 0, em_at)]
     rec, rep, built, taken = run_lone(FrogMac, 100_000, nodes, setup=lambda _, mac: taken_acks(mac))
     events = run_lone(EventPathFrogMac, 100_000, nodes)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _mamdani_ref import reference_core
-from priomac import _pykernels
+from priomac import fuzzy
 from priomac.fuzzy import fuzzy_core, priority_score
 
 
@@ -81,7 +81,7 @@ MEMO_CAP = 4096
 
 def unmemoised_core(d, e, s):
     """The Mamdani core as a plain 1001-step loop: no memo, no sample table."""
-    tri = _pykernels._tri
+    tri = fuzzy._tri
     d_lo = tri(d, 0.0, 0.0, 0.5)
     d_hi = tri(d, 0.5, 1.0, 1.0)
     e_lo = tri(e, 0.0, 0.0, 0.5)
@@ -113,7 +113,7 @@ def fill_memo(n):
     Activations are never negative, so these keys only take up room and
     bring the memo to the edge of its cap.
     """
-    memo = _pykernels._CENTROIDS
+    memo = fuzzy._CENTROIDS
     memo.clear()
     for i in range(n):
         memo[(-1.0, -1.0, float(i))] = -1.0
@@ -122,9 +122,9 @@ def fill_memo(n):
 
 @pytest.fixture
 def empty_memo():
-    _pykernels._CENTROIDS.clear()
+    fuzzy._CENTROIDS.clear()
     yield
-    _pykernels._CENTROIDS.clear()
+    fuzzy._CENTROIDS.clear()
 
 
 unit = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)) | st.floats(0.0, 1.0)
@@ -163,4 +163,4 @@ def test_memo_holds_one_entry_per_activation_triple(empty_memo):
     for d in (0.1, 0.2, 0.3):
         for s in (0.05, 0.1):
             fuzzy_core(d, 0.5, s)
-    assert len(_pykernels._CENTROIDS) == 1
+    assert len(fuzzy._CENTROIDS) == 1

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -79,6 +80,23 @@ def test_a_finished_run_is_freed_without_the_cyclic_gc(monkeypatch, protocol):
         assert len(engines) == 1 and engines[0]() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("fragment_size", [2, 8])
+def test_a_long_frog_run_stays_inside_the_memory_gate(fragment_size):
+    # A run holds its nodes' queues, not a record of every packet sent, so
+    # a 5000 s frog run at ne=18 peaks at no more than 1.5 MB of Python
+    # allocations, at a fine and at the default fragment size.
+    cfg = SimConfig(
+        protocol="frog", n_emergency=18, seed=1, duration_s=5000.0, fragment_size=fragment_size
+    )
+    tracemalloc.start()
+    try:
+        run_once(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_500_000
 
 
 def test_no_detectors_means_no_emergency_traffic():

@@ -20,13 +20,15 @@ frog's energy became a baseline plus clipped moves: at 39.879441 s node
 5's fragment 5/5 is on the air, at 39.879665 s the sink's ack to node 5
 is. Only a run cut by its end shows a clipped data or ack span.
 A change that alters the model on purpose updates them here and
-says in CHANGES.md which outputs changed and why.
+says in CHANGES.md which outputs changed and why. Each pinned frog trace
+also passes the frame checks of `_frog_frames`.
 """
 
 import hashlib
 
 import pytest
 
+from _frog_frames import assert_frames_are_sound
 from priomac.cli import main
 from priomac.config import SimConfig
 from priomac.harness import emit_trace, run_sweep
@@ -121,6 +123,10 @@ def test_trace_is_pinned(name, tmp_path):
     path = tmp_path / "run.trace"
     emit_trace(cfg, str(path))
     assert sha256(path) == digest
+    if cfg.protocol == "frog":
+        with open(path, encoding="utf-8") as fh:
+            rec = [line.rstrip("\n").split(" ", 3) for line in fh]
+        assert assert_frames_are_sound(rec, cfg.frog_max_retries) > 0
 
 
 def test_fig5_sweep_is_pinned(tmp_path):
